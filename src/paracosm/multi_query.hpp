@@ -98,6 +98,7 @@ class MultiQueryEngine {
   void set_shared_evaluation(bool enabled) noexcept { shared_eval_ = enabled; }
   [[nodiscard]] bool shared_evaluation() const noexcept { return shared_eval_; }
 
+  [[nodiscard]] const graph::DataGraph& graph() const noexcept { return g_; }
   [[nodiscard]] std::size_t num_queries() const noexcept { return active_queries_; }
   [[nodiscard]] std::size_t num_slots() const noexcept { return slots_.size(); }
   /// Distinct evaluation classes currently active (== num_queries() when

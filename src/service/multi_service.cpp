@@ -12,7 +12,8 @@ MultiStreamService::MultiStreamService(engine::MultiQueryEngine& engine,
       opts_(std::move(opts)),
       queue_(opts_.queue_capacity, opts_.policy) {
   if (!opts_.wal_path.empty())
-    wal_.emplace(opts_.wal_path, /*truncate=*/true);
+    wal_.emplace(opts_.wal_path, /*truncate=*/true, /*next_seq=*/0,
+                 graph_fingerprint(engine_.graph()));
   positive_.assign(engine_.num_slots(), 0);
   negative_.assign(engine_.num_slots(), 0);
   degraded_.assign(engine_.num_slots(), 0);

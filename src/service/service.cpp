@@ -91,7 +91,7 @@ StreamService::StreamService(engine::ParaCosm& engine, ServiceOptions opts,
   if (!opts_.wal_path.empty()) {
     wal_.emplace(opts_.wal_path, /*truncate=*/!opts_.wal_resume,
                  opts_.wal_resume ? opts_.wal_next_seq : 0,
-                 opts_.wal_fingerprint);
+                 graph_fingerprint(engine_.graph()));
     seq_ = wal_->next_seq();
   }
   if (budget_ns_ > 0) watchdog_.emplace();

@@ -115,14 +115,12 @@ struct ServiceOptions {
   /// (WAL flush + search); 0 disables the watchdog.
   std::int64_t budget_us = 0;
 
-  std::string wal_path;      ///< empty = durability off
+  /// Empty = durability off. A fresh (truncating) log's header carries
+  /// graph_fingerprint() of the engine's graph at construction, so recovery
+  /// refuses to replay it onto any other base graph (wal.hpp).
+  std::string wal_path;
   bool wal_resume = false;   ///< append (post-recovery) instead of truncating
   std::uint64_t wal_next_seq = 0;  ///< first seq when resuming
-
-  /// Identity fingerprint stamped into a fresh WAL's header (wal.hpp); 0
-  /// leaves identity unchecked. Shard workers pass graph_fingerprint(base)
-  /// salted with the shard id so a shard can never replay a sibling's log.
-  std::uint32_t wal_fingerprint = 0;
 
   std::string snapshot_path;       ///< empty = snapshots off
   std::uint64_t snapshot_every = 0;  ///< updates between snapshots; 0 = never
@@ -173,8 +171,8 @@ struct ServiceReport {
 };
 
 /// Completion summary of one processed update, delivered on the consumer
-/// thread right after the engine returns (before the next pop). The shard
-/// worker turns this into the per-update acknowledgement frame.
+/// thread right after the engine returns (before the next pop) — e.g. to
+/// time each update from submission to completion.
 struct UpdateDone {
   std::uint64_t seq = 0;   ///< WAL sequence (or the stand-in counter)
   bool applied = false;    ///< the graph mutation took effect
@@ -211,8 +209,8 @@ class StreamService {
 
   /// Install the per-update completion observer (consumer thread). Fired
   /// after every processed update — submitted, deferred-replayed, or drained
-  /// at shutdown — so a caller sequencing acknowledgements (the shard worker)
-  /// sees exactly one completion per admitted update. Call before the first
+  /// at shutdown — so a caller pairing completions with submissions sees
+  /// exactly one completion per admitted update. Call before the first
   /// submit().
   void set_update_callback(std::function<void(const UpdateDone&)> cb) {
     on_done_ = std::move(cb);

@@ -1,15 +1,23 @@
 // Service layer (ISSUE 4): bounded ingest, WAL/snapshot durability, crash
 // recovery, and the oracle-checked fault matrix.
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "graph/graph_io.hpp"
 #include "paracosm/paracosm.hpp"
 #include "service/ingest.hpp"
 #include "service/service.hpp"
@@ -355,6 +363,42 @@ TEST(Recovery, WalFromDifferentGraphIsRejected) {
   }
 }
 
+// The service stamps the identity header itself: a WAL written through
+// StreamService must refuse to replay onto any graph but the one it began on.
+TEST(Recovery, ServiceWalFromDifferentGraphIsRejected) {
+  testing::SmallWorkload wl = testing::make_workload(/*seed=*/19);
+  testing::SmallWorkload other = testing::make_workload(/*seed=*/23);
+  ASSERT_NE(service::graph_fingerprint(wl.graph),
+            service::graph_fingerprint(other.graph));
+
+  const std::string wal = tmp_path("service_foreign.wal");
+  const auto alg = csm::make_algorithm("graphflow");
+  graph::DataGraph g = wl.graph;
+  engine::Config cfg;
+  cfg.threads = 2;
+  cfg.inter_parallelism = false;
+  engine::ParaCosm pc(*alg, wl.query, g, cfg);
+  service::ServiceOptions sopts;
+  sopts.wal_path = wal;
+  {
+    service::StreamService svc(pc, sopts);
+    for (const GraphUpdate& u : wl.stream) (void)svc.submit(u);
+    const service::ServiceReport report = svc.finish();
+    ASSERT_TRUE(report.error.empty()) << report.error;
+  }
+  EXPECT_EQ(service::read_wal(wal).fingerprint,
+            service::graph_fingerprint(wl.graph));
+
+  EXPECT_NO_THROW((void)service::recover_state(wl.graph, wal));
+  try {
+    (void)service::recover_state(other.graph, wal);
+    FAIL() << "a service WAL replayed onto a foreign graph must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("fingerprint mismatch"),
+              std::string::npos);
+  }
+}
+
 TEST(Wal, TransientWriteFailuresAreRetriedAndCounted) {
   const std::string path = tmp_path("flaky.wal");
   service::WalWriter w(path, /*truncate=*/true);
@@ -458,6 +502,109 @@ TEST(StreamService, WatchdogBudgetRunSurvives) {
   const auto fresh = csm::make_algorithm("graphflow");
   fresh->attach(wl.query, wl.graph);
   EXPECT_EQ(alg->ads_checksum(), fresh->ads_checksum());
+}
+
+// ------------------------------------------------ paracosm_serve, SIGTERM
+
+/// Path of a tool binary next to this test executable
+/// (build/tests/test_service -> build/tools/<name>), independent of the cwd.
+std::string tool_path(const std::string& name) {
+  char exe[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof exe - 1);
+  if (n <= 0) return {};
+  std::string dir(exe, static_cast<std::size_t>(n));
+  dir.resize(dir.rfind('/'));
+  return dir + "/../tools/" + name;
+}
+
+/// fork/exec `argv` with stdout and stderr sent to `log`; returns the pid.
+pid_t spawn(const std::vector<std::string>& argv, const std::string& log) {
+  std::vector<char*> args;
+  for (const std::string& a : argv) args.push_back(const_cast<char*>(a.c_str()));
+  args.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {  // only async-signal-safe calls until exec
+    const int fd = ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd >= 0) {
+      ::dup2(fd, STDOUT_FILENO);
+      ::dup2(fd, STDERR_FILENO);
+      ::close(fd);
+    }
+    ::execv(args[0], args.data());
+    ::_exit(127);
+  }
+  return pid;
+}
+
+/// Wait for `pid`; the exit code, or -1 if it did not exit normally.
+int wait_exit(pid_t pid) {
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// Graceful shutdown of the single-process server: SIGTERM mid-stream breaks
+// the submit loop, the service drains what was admitted, flushes the WAL and
+// a final snapshot and exits 0 — and those files recover to an oracle-exact
+// end state.
+TEST(ServeTool, SigtermDrainsFlushesDurabilityAndExitsZero) {
+  const std::string serve = tool_path("paracosm_serve");
+  ASSERT_EQ(::access(serve.c_str(), X_OK), 0) << "missing " << serve;
+
+  const verify::FuzzCase c = verify::generate_case(11);
+  ASSERT_GE(c.stream.size(), 8u);
+  const std::string graph_path = tmp_path("sigterm.graph");
+  const std::string query_path = tmp_path("sigterm.query");
+  const std::string stream_path = tmp_path("sigterm.stream");
+  const std::string wal = tmp_path("sigterm.wal");
+  const std::string snap = tmp_path("sigterm.snap");
+  const std::string log = tmp_path("sigterm.log");
+  graph::save_data_graph_file(c.graph, graph_path);
+  graph::save_query_graph_file(c.queries.front(), query_path);
+  graph::save_update_stream_file(c.stream, stream_path);
+  std::remove(wal.c_str());
+  std::remove(snap.c_str());
+
+  const std::vector<std::string> common = {
+      serve,      "--graph",   graph_path, "--query",     query_path,
+      "--stream", stream_path, "--wal",    wal,           "--snapshot",
+      snap,       "--threads", "2",        "--algorithm", "graphflow"};
+  // A 2-slot ring and a 20 ms consumer delay keep the producer blocked in
+  // submit() for about a second, so the signal lands mid-stream.
+  std::vector<std::string> first = common;
+  for (const char* a : {"--queue", "2", "--slow-consumer-us", "20000"})
+    first.emplace_back(a);
+  const pid_t pid = spawn(first, log);
+  ASSERT_GT(pid, 0);
+
+  // Signal once the first record is durable: the handler is installed by
+  // then, and most of the stream is still unsubmitted.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (service::read_wal(wal).records.empty() &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  ASSERT_EQ(wait_exit(pid), 0) << read_file(log);
+
+  const std::string out = read_file(log);
+  EXPECT_NE(out.find("signal received"), std::string::npos) << out;
+  const service::WalReadResult w = service::read_wal(wal);
+  EXPECT_FALSE(w.records.empty());
+  EXPECT_LT(w.records.size(), c.stream.size()) << "the stream was not cut short";
+  EXPECT_TRUE(service::read_snapshot(snap).has_value());
+
+  std::vector<std::string> second = common;
+  second.emplace_back("--recover");
+  second.emplace_back("--verify-final");
+  const pid_t rpid = spawn(second, log);
+  ASSERT_GT(rpid, 0);
+  ASSERT_EQ(wait_exit(rpid), 0) << read_file(log);
+  EXPECT_NE(read_file(log).find("verify-final: OK"), std::string::npos);
 }
 
 }  // namespace
