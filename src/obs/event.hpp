@@ -54,12 +54,10 @@ enum class EventKind : std::uint32_t {
   kMultiSearch,    ///< span: one shared per-class search; args class, members,
                    ///< matches
 
-  // Feedback control (DESIGN.md §13, per decision / per certified batch).
-  kControlDecision, ///< instant: a controller republished a knob; args knob,
-                    ///< from, to (knob ids in control/controller.hpp)
-  kInvariantCert,   ///< instant: the aggregate invariant certified a whole
-                    ///< batch ahead of the exact classifier; args lanes,
-                    ///< inserts
+  // Aggregate-invariant certifier (DESIGN.md §14, per certified batch).
+  kInvariantCert,  ///< instant: the aggregate invariant certified a whole
+                   ///< batch ahead of the exact classifier; args lanes,
+                   ///< inserts
 
   kCount
 };
@@ -102,7 +100,6 @@ inline constexpr std::uint32_t kEventKindCount =
     case EventKind::kMetricsFlush: return "metrics_flush";
     case EventKind::kMultiClassify: return "multi_classify";
     case EventKind::kMultiSearch: return "multi_search";
-    case EventKind::kControlDecision: return "control_decision";
     case EventKind::kInvariantCert: return "invariant_cert";
     case EventKind::kCount: break;
   }
@@ -137,8 +134,6 @@ inline constexpr std::uint32_t kEventKindCount =
     case EventKind::kWatchdogFire:
     case EventKind::kMetricsFlush:
       return "service";
-    case EventKind::kControlDecision:
-      return "control";
     case EventKind::kInvariantCert:
       return "classifier";
     default:
@@ -169,7 +164,6 @@ inline constexpr std::uint32_t kEventKindCount =
     case EventKind::kMetricsFlush: return {"processed", nullptr, nullptr};
     case EventKind::kMultiClassify: return {"candidates", "u", "v"};
     case EventKind::kMultiSearch: return {"class", "members", "matches"};
-    case EventKind::kControlDecision: return {"knob", "from", "to"};
     case EventKind::kInvariantCert: return {"lanes", "inserts", nullptr};
     default: return {"a", "b", "c"};
   }

@@ -127,12 +127,12 @@ struct Config {
   /// downgrades to SWAR and counts a fallback activation).
   util::wide::Dispatch wide_dispatch = util::wide::Dispatch::kAuto;
 
-  /// Pre-ADS aggregate-invariant batch certifier (DESIGN.md §13.4): when a
+  /// Pre-ADS aggregate-invariant batch certifier (DESIGN.md §14): when a
   /// whole batch is provably match-free, its effective edge updates are
   /// applied without classification or enumeration. Only engages for
   /// index-free algorithms (has_ads() == false) in BatchMode::kStrict —
   /// the engine silently skips the stage otherwise. ΔM is unchanged either
-  /// way; the knob exists so static runs stay byte-comparable to PR 9.
+  /// way; off by default, so default runs classify every batch per lane.
   bool invariant_stage = false;
 
   [[nodiscard]] unsigned effective_threads() const {

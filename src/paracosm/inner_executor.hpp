@@ -54,14 +54,6 @@ class InnerExecutor {
       const std::function<void(std::span<const csm::Assignment>)>* on_match = nullptr,
       util::CancelView cancel = {});
 
-  /// Re-route SPLIT_DEPTH for subsequent run() calls (the adaptive control
-  /// plane publishes through ParaCosm's TuningView; the engine forwards here
-  /// before each search). Must not be called while run() is in flight.
-  void set_split_depth(std::uint32_t depth) noexcept { split_depth_ = depth; }
-  [[nodiscard]] std::uint32_t split_depth() const noexcept {
-    return split_depth_;
-  }
-
  private:
   [[nodiscard]] InnerRunResult run_dynamic(
       const csm::CsmAlgorithm& alg, std::vector<csm::SearchTask> seeds,

@@ -1,4 +1,4 @@
-// Pre-ADS aggregate-invariant batch certifier (DESIGN.md §13.4).
+// Pre-ADS aggregate-invariant batch certifier (DESIGN.md §14).
 //
 // The stage maintains, per distinct query-edge label triple
 // t = (min endpoint label, max endpoint label, edge label — 0 when the

@@ -39,7 +39,6 @@ ParaCosm::ParaCosm(csm::CsmAlgorithm& alg, const graph::QueryGraph& q,
       q_(q),
       g_(g),
       config_(config),
-      tuning_(config.split_depth, config.batch_size, config.wide_auto_cutoff),
       pool_(config.effective_threads(), pool_options(config)),
       inner_(pool_, config.split_depth, config.dynamic_balance,
              queue_knobs(config, pool_)),
@@ -67,8 +66,8 @@ BatchBackend& ParaCosm::backend_for(std::size_t batch_lanes) noexcept {
     case BatchBackendKind::kAuto: break;
   }
   if (pool_.size() <= 1) return *backend_wide_;
-  return batch_lanes <= tuning_.wide_auto_cutoff() ? *backend_wide_
-                                                   : *backend_cpu_;
+  return batch_lanes <= config_.wide_auto_cutoff ? *backend_wide_
+                                                 : *backend_cpu_;
 }
 
 csm::UpdateOutcome ParaCosm::process(const GraphUpdate& upd,
@@ -128,12 +127,6 @@ csm::UpdateOutcome ParaCosm::process_edge(const GraphUpdate& upd,
                                           ParallelStats& stats) {
   csm::UpdateOutcome out;
   const bool insert = upd.op == UpdateOp::kInsertEdge;
-
-  // Forward the epoch-published SPLIT_DEPTH before the search starts; both
-  // executors read it only between run() calls (single-threaded caller).
-  const std::uint32_t sd = tuning_.split_depth();
-  inner_.set_split_depth(sd);
-  stealing_.set_split_depth(sd);
 
   const auto explore = [&](const std::vector<csm::SearchTask>& roots)
       -> std::pair<std::uint64_t, std::uint64_t> {
@@ -246,6 +239,7 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
   backend_cpu_->reset_stats();
   backend_wide_->reset_stats();
 
+  const unsigned k = config_.effective_batch_size();
   const unsigned nthreads = pool_.size();
   std::size_t i = 0;
   std::vector<UpdateClass> verdicts;
@@ -256,13 +250,8 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
       result.timed_out = true;
       break;
     }
-    // Batch cut is re-read every batch from the epoch-published TuningView,
-    // so a control-plane (or test) mutation takes effect at the next batch
-    // boundary rather than being baked in at construction.
-    const unsigned k = std::max(1u, tuning_.effective_batch_size(nthreads));
     const std::size_t count = std::min<std::size_t>(k, stream.size() - i);
     ++result.batches;
-    util::WallTimer batch_timer;
 #if defined(PARACOSM_TRACE_ENABLED)
     // The batch span covers classify + safe-apply (phases 1–2b) and is
     // recorded *before* the sequential unsafe update of phase 2c runs, so a
@@ -280,7 +269,6 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
     // PARACOSM_VERIFY).
     verdicts.assign(count, UpdateClass::kUnsafe);
     bool certified = false;
-    bool used_wide = false;
     if (invariant_) {
       std::size_t inserts = 0;
       for (std::size_t j = 0; j < count; ++j)
@@ -300,9 +288,8 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
           verdicts[j] = UpdateClass::kSafeInvariant, ++lanes;
       PARACOSM_TRACE_INSTANT(obs::EventKind::kInvariantCert, lanes, count);
     } else {
-      BatchBackend& be = backend_for(count);
-      used_wide = &be == backend_wide_.get();
-      be.classify_batch(stream.subspan(i, count), verdicts, result.stats);
+      backend_for(count).classify_batch(stream.subspan(i, count), verdicts,
+                                        result.stats);
     }
 
     // Phase 2a — commit plan (cheap, sequential): the safe prefix up to the
@@ -391,49 +378,15 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
                           result.batches - 1, count, safe_prefix);
 #endif
     i += safe_prefix;
-    // Classify + safe-apply cost, sampled before the sequential phase so the
-    // control plane can attribute it separately from search time.
-    const std::int64_t classify_ns = batch_timer.elapsed_ns();
 
     // Phase 2c — the unsafe update runs sequentially (ADS) with the
     // inner-update executor searching; the batch remainder is deferred.
     if (hit_unsafe) {
       ++result.unsafe_sequential;
-      // Route through a per-update accumulator so the worker busy deltas of
-      // THIS search (not the whole stream) feed the imbalance signal.
-      ParallelStats ustats;
-      ustats.ensure_size(nthreads);
-      absorb(process_into(stream[i], deadline, cancel, ustats));
-      if (control_) {
-        control::SearchSample ss;
-        ss.workers = nthreads;
-        for (const WorkerStats& w : ustats.workers) ss.tasks += w.tasks;
-        ss.offloads = ustats.total_offloads();
-        ss.steals_local = ustats.total_steals_local();
-        ss.steals_same_node = ustats.total_steals_same_node();
-        ss.steals_remote = ustats.total_steals_remote();
-        ss.max_busy_ns = ustats.max_worker_ns();
-        ss.total_busy_ns = ustats.total_worker_ns();
-        control_->on_search(ss);
-      }
-      result.stats.merge(ustats);
+      absorb(process_into(stream[i], deadline, cancel, result.stats));
       ++result.updates_processed;
       ++i;
       result.deferred_after_unsafe += count - safe_prefix - 1;
-    }
-
-    const std::int64_t batch_ns = batch_timer.elapsed_ns();
-    result.batch_latency.record(batch_ns);
-    if (control_) {
-      control::BatchSample bs;
-      bs.lanes = static_cast<std::uint32_t>(count);
-      bs.safe_prefix = static_cast<std::uint32_t>(safe_prefix);
-      bs.hit_unsafe = hit_unsafe;
-      bs.certified = certified;
-      bs.wide_backend = used_wide;
-      bs.classify_ns = classify_ns;
-      bs.batch_ns = batch_ns;
-      control_->on_batch(bs);
     }
   }
 

@@ -14,10 +14,7 @@
 #include <memory>
 #include <span>
 
-#include "control/control_plane.hpp"
-#include "control/tuning.hpp"
 #include "csm/engine.hpp"
-#include "obs/histogram.hpp"
 #include "paracosm/batch_backend.hpp"
 #include "paracosm/classifier.hpp"
 #include "paracosm/config.hpp"
@@ -59,11 +56,6 @@ struct StreamResult {
   ParallelStats stats;
   std::int64_t wall_ns = 0;
 
-  /// Per-batch wall-time distribution (inter-parallel mode only): one sample
-  /// per batch covering classify + safe-apply + the sequential unsafe update.
-  /// Feeds the adaptive ablation's p99 and the control plane's epoch signals.
-  obs::Histogram batch_latency;
-
   [[nodiscard]] std::uint64_t delta_matches() const noexcept {
     return positive + negative;
   }
@@ -93,22 +85,6 @@ class ParaCosm {
   [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] csm::CsmAlgorithm& algorithm() noexcept { return alg_; }
   [[nodiscard]] graph::DataGraph& graph() noexcept { return g_; }
-
-  /// The epoch-published view of the adaptable knobs (split depth, batch
-  /// cut, wide cutoff). Seeded from Config at construction; mutations take
-  /// effect at the next batch boundary / parallel search — this is the only
-  /// supported way to retune a live engine (DESIGN.md §13.2).
-  [[nodiscard]] control::TuningView& tuning() noexcept { return tuning_; }
-  [[nodiscard]] const control::TuningView& tuning() const noexcept {
-    return tuning_;
-  }
-
-  /// Attach a feedback-control plane built over this engine's tuning():
-  /// process_stream posts per-batch and per-search signal samples to it.
-  /// The plane must outlive the attachment; pass nullptr to detach.
-  void attach_control(control::ControlPlane* plane) noexcept {
-    control_ = plane;
-  }
 
   /// The aggregate-invariant certifier, nullptr unless Config::
   /// invariant_stage engaged it (index-free algorithm, strict mode).
@@ -147,7 +123,6 @@ class ParaCosm {
   const graph::QueryGraph& q_;
   graph::DataGraph& g_;
   Config config_;
-  control::TuningView tuning_;
   WorkerPool pool_;
   InnerExecutor inner_;
   StealingExecutor stealing_;
@@ -156,7 +131,6 @@ class ParaCosm {
   std::unique_ptr<BatchBackend> backend_cpu_;
   std::unique_ptr<BatchBackend> backend_wide_;
   std::unique_ptr<InvariantStage> invariant_;
-  control::ControlPlane* control_ = nullptr;
   ParallelStats loose_stats_;
   std::function<void(std::span<const csm::Assignment>)> on_match_;
 };

@@ -43,12 +43,6 @@ class StealingExecutor {
       const std::function<void(std::span<const csm::Assignment>)>* on_match = nullptr,
       util::CancelView cancel = {});
 
-  /// See InnerExecutor::set_split_depth — same contract.
-  void set_split_depth(std::uint32_t depth) noexcept { split_depth_ = depth; }
-  [[nodiscard]] std::uint32_t split_depth() const noexcept {
-    return split_depth_;
-  }
-
  private:
   WorkerPool& pool_;
   std::uint32_t split_depth_;

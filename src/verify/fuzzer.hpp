@@ -89,32 +89,25 @@ struct LaneConfig {
   /// The differential `--backend` sweep runs each batch cell once per
   /// backend and demands identical ΔM from both (DESIGN.md §11).
   engine::BatchBackendKind backend = engine::BatchBackendKind::kCpu;
-  /// Adaptive batch cells (kBatch lanes only): the engine runs with the
-  /// invariant stage on, the kAuto backend router, and an attached
-  /// ControlPlane tuned to decide as often as possible (one batch per
-  /// epoch, zero cooldowns, tight knob ranges). The cell must still
-  /// reconcile byte-identical ΔM against the same oracle trace as its
-  /// static siblings — the correctness-invariance contract of DESIGN.md
-  /// §13: tuning changes when/how work happens, never what is computed.
-  bool adaptive = false;
+  /// kBatch lanes only: run with Config::invariant_stage on, so batches the
+  /// aggregate invariant certifies skip per-lane classification (DESIGN.md
+  /// §14). ΔM must still match the oracle trace exactly.
+  bool invariant_stage = false;
 };
 
-/// The default verification matrix of the issue: sequential plus the two
-/// parallel executors at 1/2/4/8 threads.
-[[nodiscard]] std::vector<LaneConfig> default_lane_matrix();
+/// The default verification matrix: sequential plus the two parallel
+/// executors at each thread count.
+[[nodiscard]] std::vector<LaneConfig> default_lane_matrix(
+    const std::vector<unsigned>& threads = {1, 2, 4, 8});
 
-/// The default matrix with every batch cell doubled: once on the cpu
-/// backend, once on the wide (AVX2/SWAR) backend. Both cells reconcile
-/// against the same oracle trace, so a verdict divergence between backends
-/// surfaces as a ΔM divergence in exactly one of them.
-[[nodiscard]] std::vector<LaneConfig> backend_lane_matrix();
-
-/// The default matrix plus an adaptive twin of every batch cell: while the
-/// static cell pins all knobs, the twin retunes split depth, batch cut and
-/// the backend cutoff every single batch. Both reconcile against the same
-/// oracle trace, so any controller decision that changes *results* (not just
-/// schedule) surfaces as a ΔM divergence in the adaptive cell.
-[[nodiscard]] std::vector<LaneConfig> control_lane_matrix();
+/// The default matrix with every batch cell tripled: once on the cpu
+/// backend, once on the wide (AVX2/SWAR) backend, and once on the kAuto
+/// router with the invariant stage on. The kAuto cells use a fixed
+/// wide_auto_cutoff of 2 lanes, so batches of at most 2 lanes go wide and
+/// larger ones go cpu. All cells reconcile against the same oracle trace,
+/// so a verdict divergence between backends surfaces as a ΔM divergence.
+[[nodiscard]] std::vector<LaneConfig> backend_lane_matrix(
+    const std::vector<unsigned>& threads = {1, 2, 4, 8});
 
 /// One reconciliation failure, with everything needed to reproduce it.
 struct Divergence {
@@ -123,7 +116,7 @@ struct Divergence {
   Lane lane = Lane::kSequential;
   unsigned threads = 1;
   engine::BatchBackendKind backend = engine::BatchBackendKind::kCpu;
-  bool adaptive = false;
+  bool invariant_stage = false;
   std::uint32_t query_index = 0;
   /// Update at which the divergence was detected (per-update lanes only;
   /// the batch lane reconciles whole-stream totals).

@@ -30,7 +30,7 @@ void save_repro(const Repro& r, std::ostream& out) {
     out << "meta threads " << r.cell->threads << '\n';
     if (r.cell->backend != engine::BatchBackendKind::kCpu)
       out << "meta backend " << engine::batch_backend_name(r.cell->backend) << '\n';
-    if (r.cell->adaptive) out << "meta adaptive 1\n";
+    if (r.cell->invariant_stage) out << "meta invariant_stage 1\n";
     out << "meta query " << r.cell->query_index << '\n';
     if (r.cell->update_index) out << "meta update " << *r.cell->update_index << '\n';
     if (!r.cell->message.empty()) {
@@ -97,10 +97,10 @@ Repro load_repro(std::istream& in) {
       const auto kind = engine::parse_batch_backend(name);
       if (!kind) throw std::runtime_error("repro: unknown backend '" + name + "'");
       cell.backend = *kind;
-    } else if (key == "adaptive") {
+    } else if (key == "invariant_stage") {
       int flag = 0;
       ls >> flag;
-      cell.adaptive = flag != 0;
+      cell.invariant_stage = flag != 0;
     } else if (key == "query") {
       ls >> cell.query_index;
     } else if (key == "update") {
@@ -167,8 +167,8 @@ std::vector<Divergence> check_repro(const Repro& r, const AlgorithmFactory& fact
   if (r.cell) {
     opts.algorithms = {};
     opts.algorithms.push_back(r.cell->algorithm);
-    opts.lanes = {
-        {r.cell->lane, r.cell->threads, r.cell->backend, r.cell->adaptive}};
+    opts.lanes = {{r.cell->lane, r.cell->threads, r.cell->backend,
+                   r.cell->invariant_stage}};
   }
   return check_case(r.fuzz_case, opts);
 }

@@ -5,8 +5,10 @@
 // match-buffer merge — to the cpu backend, on every thread count and on
 // both instruction paths. The tests pin:
 //
-//   * ΔM equality across {cpu, wide} × {1,2,4,8} threads, full mapping
-//     granularity (not just totals);
+//   * ΔM equality across {cpu, wide, auto} × {1,2,4,8} threads, full
+//     mapping granularity (not just totals);
+//   * kAuto routing by Config::wide_auto_cutoff (0 → all cpu, 1<<30 → all
+//     wide once the pool has more than one worker);
 //   * per-backend counter conservation (lanes == verdict sum, every wide
 //     lane accounted to exactly one resolution counter);
 //   * edge cases: empty batch, single-edge stream, all-unsafe batch;
@@ -46,7 +48,8 @@ struct RunCapture {
 };
 
 RunCapture run_stream(const SmallWorkload& wl, const char* algorithm,
-                      BatchBackendKind kind, unsigned threads) {
+                      BatchBackendKind kind, unsigned threads,
+                      unsigned wide_auto_cutoff = Config{}.wide_auto_cutoff) {
   RunCapture cap;
   auto alg = csm::make_algorithm(algorithm);
   if (!alg) {
@@ -57,6 +60,7 @@ RunCapture run_stream(const SmallWorkload& wl, const char* algorithm,
   Config cfg;
   cfg.threads = threads;
   cfg.batch_backend = kind;
+  cfg.wide_auto_cutoff = wide_auto_cutoff;
   cfg.batch_mode = BatchMode::kStrict;
   cfg.queue_spin_iters = 1;
   cfg.pool_spin_iters = 1;
@@ -103,11 +107,22 @@ TEST_P(BackendEquivalence, DeltaMIdenticalAcrossBackendsAndThreads) {
   const SmallWorkload wl = make_workload(seed, 36, 90, 3, 2, 4);
   ASSERT_FALSE(wl.stream.empty());
 
+  // kAuto runs at the default cutoff and at both extremes: with more than one
+  // worker, cutoff 0 sends every batch to cpu and 1<<30 every batch to wide.
+  struct Arm {
+    BatchBackendKind kind;
+    unsigned cutoff;
+  };
+  constexpr unsigned kDefaultCutoff = Config{}.wide_auto_cutoff;
+  const Arm arms[] = {{BatchBackendKind::kCpu, kDefaultCutoff},
+                      {BatchBackendKind::kWide, kDefaultCutoff},
+                      {BatchBackendKind::kAuto, kDefaultCutoff},
+                      {BatchBackendKind::kAuto, 0},
+                      {BatchBackendKind::kAuto, 1u << 30}};
   const RunCapture ref = run_stream(wl, algorithm, BatchBackendKind::kCpu, 1);
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    for (const auto kind : {BatchBackendKind::kCpu, BatchBackendKind::kWide,
-                            BatchBackendKind::kAuto}) {
-      const RunCapture got = run_stream(wl, algorithm, kind, threads);
+    for (const auto [kind, cutoff] : arms) {
+      const RunCapture got = run_stream(wl, algorithm, kind, threads, cutoff);
       EXPECT_EQ(got.positive, ref.positive)
           << algorithm << " backend=" << batch_backend_name(kind)
           << " threads=" << threads;
@@ -122,8 +137,21 @@ TEST_P(BackendEquivalence, DeltaMIdenticalAcrossBackendsAndThreads) {
           << algorithm << " backend=" << batch_backend_name(kind)
           << " threads=" << threads;
       expect_conserved(got.result);
-      if (kind == BatchBackendKind::kCpu) EXPECT_EQ(got.result.backend_wide.batches, 0u);
-      if (kind == BatchBackendKind::kWide) EXPECT_EQ(got.result.backend_cpu.batches, 0u);
+      // kAuto on a one-worker pool always goes wide, whatever the cutoff.
+      const bool all_cpu = kind == BatchBackendKind::kCpu ||
+                           (kind == BatchBackendKind::kAuto && cutoff == 0 &&
+                            threads > 1);
+      const bool all_wide = kind == BatchBackendKind::kWide ||
+                            (kind == BatchBackendKind::kAuto &&
+                             (cutoff == 1u << 30 || threads == 1));
+      if (all_cpu) {
+        EXPECT_EQ(got.result.backend_wide.batches, 0u)
+            << algorithm << " cutoff=" << cutoff << " threads=" << threads;
+      }
+      if (all_wide) {
+        EXPECT_EQ(got.result.backend_cpu.batches, 0u)
+            << algorithm << " cutoff=" << cutoff << " threads=" << threads;
+      }
     }
   }
 }
@@ -316,8 +344,9 @@ TEST(WideKernels, PairCountKernelsAgree) {
     std::uint64_t want = 0;
     for (std::size_t i = 0; i < logical; ++i) want += (a[i] & b[i]) != 0 ? 1 : 0;
     EXPECT_EQ(util::wide::count_pairs_swar(a.data(), b.data(), padded), want);
-    if (util::wide::avx2_compiled() && util::wide::avx2_runtime())
+    if (util::wide::avx2_compiled() && util::wide::avx2_runtime()) {
       EXPECT_EQ(util::wide::count_pairs_avx2(a.data(), b.data(), padded), want);
+    }
   }
 }
 

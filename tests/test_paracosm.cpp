@@ -1,7 +1,7 @@
 // End-to-end equivalence of the parallel framework with the sequential
-// engine: for every algorithm, thread count, split depth and batch mode, the
-// ParaCOSM-processed stream must produce exactly the sequential ΔM totals,
-// and the executors' bookkeeping must add up.
+// engine: for every algorithm, thread count, split depth, batch mode and
+// batch size, the ParaCOSM-processed stream must produce exactly the
+// sequential ΔM totals, and the executors' bookkeeping must add up.
 #include <gtest/gtest.h>
 
 #include "paracosm/paracosm.hpp"
@@ -37,6 +37,7 @@ struct PcCase {
   std::uint32_t split_depth;
   bool inter;
   BatchMode mode;
+  std::uint16_t batch_size;  ///< Config::batch_size; 0 = one per thread
   std::uint64_t seed;
 };
 
@@ -53,6 +54,7 @@ TEST_P(ParaCosmEquivalence, StreamTotalsMatchSequential) {
   cfg.split_depth = c.split_depth;
   cfg.inter_parallelism = c.inter;
   cfg.batch_mode = c.mode;
+  cfg.batch_size = c.batch_size;
   graph::DataGraph g = wl.graph;
   ParaCosm pc(*alg, wl.query, g, cfg);
   const StreamResult result = pc.process_stream(wl.stream);
@@ -64,6 +66,10 @@ TEST_P(ParaCosmEquivalence, StreamTotalsMatchSequential) {
     EXPECT_GT(result.batches, 0u);
     EXPECT_EQ(result.classifier.total,
               result.safe_applied + result.unsafe_sequential);
+    // One update per batch: every loop iteration advances exactly one.
+    if (c.batch_size == 1) {
+      EXPECT_EQ(result.batches, result.updates_processed);
+    }
   }
 }
 
@@ -72,13 +78,17 @@ std::vector<PcCase> equivalence_cases() {
   std::uint64_t seed = 101;
   for (const auto name : csm::algorithm_names()) {
     for (const unsigned threads : {1u, 2u, 4u}) {
-      cases.push_back({std::string(name), threads, 3, true, BatchMode::kStrict, seed});
-      cases.push_back({std::string(name), threads, 3, false, BatchMode::kStrict, seed});
+      cases.push_back({std::string(name), threads, 3, true, BatchMode::kStrict, 0,
+                       seed});
+      cases.push_back({std::string(name), threads, 3, false, BatchMode::kStrict, 0,
+                       seed});
       ++seed;
     }
-    cases.push_back({std::string(name), 4, 0, true, BatchMode::kStrict, seed++});
-    cases.push_back({std::string(name), 4, 16, true, BatchMode::kStrict, seed++});
+    cases.push_back({std::string(name), 4, 0, true, BatchMode::kStrict, 0, seed++});
+    cases.push_back({std::string(name), 4, 16, true, BatchMode::kStrict, 0, seed++});
   }
+  for (const auto name : csm::algorithm_names())
+    cases.push_back({std::string(name), 2, 3, true, BatchMode::kStrict, 1, seed++});
   return cases;
 }
 
@@ -89,7 +99,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ParaCosmEquivalence,
                            return c.algorithm + "_t" + std::to_string(c.threads) +
                                   "_d" + std::to_string(c.split_depth) +
                                   (c.inter ? "_inter" : "_inner") + "_s" +
-                                  std::to_string(c.seed);
+                                  std::to_string(c.seed) +
+                                  (c.batch_size != 0
+                                       ? "_k" + std::to_string(c.batch_size)
+                                       : "");
                          });
 
 TEST(ParaCosmSingleUpdate, ParallelSearchEqualsSequentialPerUpdate) {

@@ -607,5 +607,50 @@ TEST(ServeTool, SigtermDrainsFlushesDurabilityAndExitsZero) {
   EXPECT_NE(read_file(log).find("verify-final: OK"), std::string::npos);
 }
 
+// The same graceful shutdown for the multi-query server (--multi): SIGTERM
+// breaks the submit loop, finish() drains and flushes the WAL, exit 0.
+TEST(ServeTool, MultiSigtermDrainsFlushesWalAndExitsZero) {
+  const std::string serve = tool_path("paracosm_serve");
+  ASSERT_EQ(::access(serve.c_str(), X_OK), 0) << "missing " << serve;
+
+  const verify::FuzzCase c = verify::generate_case(11);
+  ASSERT_FALSE(c.stream.empty());
+  // --multi has no slow-consumer fault, so the stream is long instead: the
+  // fuzz stream repeated to 40,000 updates (later rounds are mostly no-ops,
+  // each still a WAL record), behind a 2-slot ring.
+  std::vector<GraphUpdate> stream;
+  while (stream.size() < 40'000)
+    stream.insert(stream.end(), c.stream.begin(), c.stream.end());
+  const std::string graph_path = tmp_path("multi_sigterm.graph");
+  const std::string query_path = tmp_path("multi_sigterm.query");
+  const std::string stream_path = tmp_path("multi_sigterm.stream");
+  const std::string wal = tmp_path("multi_sigterm.wal");
+  const std::string log = tmp_path("multi_sigterm.log");
+  graph::save_data_graph_file(c.graph, graph_path);
+  graph::save_query_graph_file(c.queries.front(), query_path);
+  graph::save_update_stream_file(stream, stream_path);
+  std::remove(wal.c_str());
+
+  const pid_t pid =
+      spawn({serve, "--multi", "--graph", graph_path, "--query", query_path,
+             "--stream", stream_path, "--wal", wal, "--queue", "2",
+             "--threads", "2", "--algorithm", "graphflow"},
+            log);
+  ASSERT_GT(pid, 0);
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (service::read_wal(wal).records.empty() &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  ASSERT_EQ(wait_exit(pid), 0) << read_file(log);
+
+  const std::string out = read_file(log);
+  EXPECT_NE(out.find("signal received"), std::string::npos) << out;
+  const service::WalReadResult w = service::read_wal(wal);
+  EXPECT_FALSE(w.records.empty());
+  EXPECT_LT(w.records.size(), stream.size()) << "the stream was not cut short";
+}
+
 }  // namespace
 }  // namespace paracosm
