@@ -7,27 +7,29 @@ TraceRegistry& TraceRegistry::instance() {
   return registry;
 }
 
+thread_local TraceRegistry::Entry* TraceRegistry::t_entry_ = nullptr;
+thread_local std::string TraceRegistry::t_name_;
+
 TraceRegistry::Entry* TraceRegistry::entry_for_this_thread() {
-  // Cached per-thread entry pointer: one TLS load on the steady-state path.
-  // NOTE: the registry is a process singleton, so a single cache is enough.
-  static thread_local Entry* t_entry = nullptr;
-  if (t_entry != nullptr) return t_entry;
+  // Steady-state path: one TLS load.
+  if (t_entry_ != nullptr) return t_entry_;
   const std::lock_guard<std::mutex> lock(m_);
   auto entry = std::make_unique<Entry>();
   entry->tid = static_cast<std::uint32_t>(entries_.size());
   entry->ring = std::make_unique<TraceRing>(ring_capacity_);
-  t_entry = entry.get();
+  entry->name = t_name_;
+  t_entry_ = entry.get();
   entries_.push_back(std::move(entry));
-  return t_entry;
+  return t_entry_;
 }
 
 TraceRing& TraceRegistry::ring() { return *entry_for_this_thread()->ring; }
 
 void TraceRegistry::set_thread_name(const std::string& name) {
-  TraceRegistry& reg = instance();
-  Entry* entry = reg.entry_for_this_thread();
-  const std::lock_guard<std::mutex> lock(reg.m_);
-  entry->name = name;
+  t_name_ = name;
+  if (t_entry_ == nullptr) return;  // applied when the ring registers
+  const std::lock_guard<std::mutex> lock(instance().m_);
+  t_entry_->name = name;
 }
 
 void TraceRegistry::set_ring_capacity(std::size_t capacity) {

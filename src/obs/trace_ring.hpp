@@ -228,7 +228,8 @@ class TraceRegistry {
   /// thread_local afterwards, so the steady-state cost is one TLS load).
   TraceRing& ring();
 
-  /// Label the calling thread's lane in exported traces.
+  /// Label the calling thread's lane in exported traces. Registers nothing:
+  /// the name is applied when the thread records its first event.
   static void set_thread_name(const std::string& name);
 
   /// Capacity used for rings registered from now on (existing rings keep
@@ -250,6 +251,13 @@ class TraceRegistry {
   };
 
   Entry* entry_for_this_thread();
+
+  // Per-thread state (the registry is a process singleton, so one cache is
+  // enough). The lane name waits here until the thread records its first
+  // event: naming a thread must not allocate a ring, or every pool helper
+  // would pin 1 MiB for the life of the process even with tracing off.
+  static thread_local Entry* t_entry_;
+  static thread_local std::string t_name_;
 
   mutable std::mutex m_;
   std::vector<std::unique_ptr<Entry>> entries_;

@@ -33,8 +33,8 @@ void BatchBackend::apply_one(const GraphUpdate& upd) {
 
 void BatchBackend::apply_safe_prefix(std::span<const GraphUpdate> prefix,
                                      ParallelStats& stats) {
-  const unsigned nthreads = b_.pool->size();
-  if (nthreads > 1 && prefix.size() > 1) {
+  if (b_.pool->worth_forking(prefix.size())) {
+    const unsigned nthreads = b_.pool->size();
     stats.ensure_size(nthreads);
     ShardedCursor cursor(prefix.size(), nthreads, b_.pool->node_map());
     b_.pool->run([&](unsigned wid) {
@@ -85,8 +85,8 @@ void CpuBackend::classify_batch(std::span<const GraphUpdate> batch,
   const std::int64_t trace_t0 = obs::trace_level() >= 1 ? obs::now_ns() : 0;
 #endif
   const std::size_t count = batch.size();
-  const unsigned nthreads = b_.pool->size();
-  if (nthreads > 1 && count > 1) {
+  if (b_.pool->worth_forking(count)) {
+    const unsigned nthreads = b_.pool->size();
     stats.ensure_size(nthreads);
     b_.pool->run([&](unsigned wid) {
       util::ThreadCpuTimer timer;
@@ -242,9 +242,10 @@ void WideBackend::classify_batch(std::span<const GraphUpdate> batch,
   }
   stats.serial_ns += serial.elapsed_ns();
 
-  // Scalar fallback lanes: stride them over the pool like the CPU backend.
-  const unsigned nthreads = b_.pool->size();
-  if (nthreads > 1 && fallback_.size() > 1) {
+  // Scalar fallback lanes: stride them over the pool like the CPU backend
+  // when there are enough of them to pay for the fork.
+  if (b_.pool->worth_forking(fallback_.size())) {
+    const unsigned nthreads = b_.pool->size();
     stats.ensure_size(nthreads);
     b_.pool->run([&](unsigned wid) {
       util::ThreadCpuTimer timer;

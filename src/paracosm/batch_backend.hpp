@@ -57,16 +57,19 @@ class BatchBackend {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   /// Classify `batch` against the batch-start snapshot (read-only on graph
-  /// and ADS) into `verdicts` (same length). Worker/serial CPU time is
-  /// accounted into `stats` exactly like the inner executors do.
+  /// and ADS) into `verdicts` (same length). Pooled only when the batch is
+  /// worth a fork (WorkerPool::worth_forking), inline otherwise. Worker/
+  /// serial CPU time is accounted into `stats` exactly like the inner
+  /// executors do.
   virtual void classify_batch(std::span<const graph::GraphUpdate> batch,
                               std::span<UpdateClass> verdicts,
                               ParallelStats& stats) = 0;
 
-  /// Apply an already-classified safe prefix in parallel (phase 2b): the
-  /// batch is sharded across the pool via per-worker striped cursors and
-  /// the striped per-vertex locks serialize rare stripe collisions. Shared
-  /// base implementation; device backends may override.
+  /// Apply an already-classified safe prefix (phase 2b). A prefix worth a
+  /// fork (WorkerPool::worth_forking) is sharded across the pool via
+  /// per-worker striped cursors and the striped per-vertex locks serialize
+  /// rare stripe collisions; a shorter one is applied inline on the caller.
+  /// Shared base implementation; device backends may override.
   virtual void apply_safe_prefix(std::span<const graph::GraphUpdate> prefix,
                                  ParallelStats& stats);
 

@@ -60,7 +60,8 @@ enum class BatchBackendKind : std::uint8_t {
 }
 
 struct Config {
-  /// Worker threads for both executors. 0 -> CPUs in the affinity mask
+  /// Workers for both executors, counting the calling thread (worker 0;
+  /// the pool spawns threads − 1 helpers). 0 -> CPUs in the affinity mask
   /// (sched_getaffinity), so taskset/cgroup-restricted runs don't
   /// oversubscribe the way hardware_concurrency() would.
   unsigned threads = 0;
@@ -99,9 +100,10 @@ struct Config {
   std::uint32_t pool_spin_iters = 1024;
 
   /// Topology-aware runtime knobs (DESIGN.md §10).
-  /// Pin each pool worker to its assigned CPU. Only takes effect when the
-  /// topology came from a real sysfs tree — emulated/flat topologies carry
-  /// CPU ids that may not exist, so pinning is skipped for them.
+  /// Pin each pool helper to its assigned CPU (the caller, worker 0, is
+  /// never pinned). Only takes effect when the topology came from a real
+  /// sysfs tree — emulated/flat topologies carry CPU ids that may not
+  /// exist, so pinning is skipped for them.
   bool pin_threads = false;
 
   /// Order steal victims by topology distance (SMT sibling → same node →

@@ -1,7 +1,6 @@
 #include "paracosm/multi_query.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
 #include "obs/trace_ring.hpp"
@@ -22,45 +21,6 @@ namespace {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// TouchedSet
-
-void MultiQueryEngine::TouchedSet::prepare(const std::size_t expected_inserts) {
-  // Cap the load factor at 1/2: with 4x slots the linear probe always
-  // terminates and stays short.
-  const std::size_t want =
-      std::bit_ceil(std::max<std::size_t>(16, expected_inserts * 4));
-  if (want > keys_.size()) {
-    keys_.assign(want, 0);
-    stamps_.assign(want, 0);
-    epoch_ = 0;
-  }
-  if (++epoch_ == 0) {  // wrap: invalidate stale stamps from 2^32 batches ago
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    epoch_ = 1;
-  }
-}
-
-bool MultiQueryEngine::TouchedSet::contains(const VertexId v) const noexcept {
-  const std::size_t mask = keys_.size() - 1;
-  for (std::size_t i = (v * 0x9E3779B9u) & mask;; i = (i + 1) & mask) {
-    if (stamps_[i] != epoch_) return false;
-    if (keys_[i] == v) return true;
-  }
-}
-
-void MultiQueryEngine::TouchedSet::insert(const VertexId v) noexcept {
-  const std::size_t mask = keys_.size() - 1;
-  for (std::size_t i = (v * 0x9E3779B9u) & mask;; i = (i + 1) & mask) {
-    if (stamps_[i] != epoch_) {
-      stamps_[i] = epoch_;
-      keys_[i] = v;
-      return;
-    }
-    if (keys_[i] == v) return;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Registration
@@ -561,11 +521,12 @@ MultiStreamResult MultiQueryEngine::process_stream(
     }
     const std::size_t count = std::min<std::size_t>(k, stream.size() - i);
 
-    // Phase 1 — parallel combined classification (one shared pass per
-    // update instead of one classifier call per query).
+    // Phase 1 — combined classification (one shared pass per update instead
+    // of one classifier call per query), forked only when the batch pays
+    // for it (WorkerPool::worth_forking).
     if (safe_.size() < count) safe_.resize(count);
     std::fill(safe_.begin(), safe_.begin() + static_cast<std::ptrdiff_t>(count), 0);
-    if (nthreads > 1 && count > 1) {
+    if (pool_.worth_forking(count)) {
       pool_.run([&](unsigned wid) {
         util::ThreadCpuTimer timer;
         ClassifyScratch& s = scratch_[wid];
@@ -588,7 +549,7 @@ MultiStreamResult MultiQueryEngine::process_stream(
       result.stats.serial_ns += timer.elapsed_ns();
     }
 
-    // Phase 2 — strict-mode safe prefix, applied in parallel.
+    // Phase 2 — strict-mode safe prefix, applied in parallel when it pays.
     touched_.prepare(2 * count);
     std::size_t prefix = 0;
     bool hit_unsafe = false;
@@ -608,7 +569,7 @@ MultiStreamResult MultiQueryEngine::process_stream(
       ++prefix;
     }
     if (prefix > 0) {
-      if (nthreads > 1 && prefix > 1) {
+      if (pool_.worth_forking(prefix)) {
         ShardedCursor cursor(prefix, nthreads, pool_.node_map());
         pool_.run([&](unsigned wid) {
           util::ThreadCpuTimer timer;

@@ -42,6 +42,7 @@
 #include "paracosm/inner_executor.hpp"
 #include "paracosm/pattern_share.hpp"
 #include "paracosm/query_index.hpp"
+#include "paracosm/touched_set.hpp"
 #include "paracosm/worker_pool.hpp"
 #include "util/sync.hpp"
 
@@ -155,21 +156,6 @@ class MultiQueryEngine {
     std::vector<std::uint32_t> group_epoch;
     std::vector<std::uint8_t> group_feasible;
     std::uint32_t epoch = 0;
-  };
-
-  /// Epoch-stamped open-addressing set over vertex ids: the batch loop's
-  /// endpoint-disjointness check without per-batch construction (the
-  /// SearchScratch idiom; reset = one epoch bump, clear only on wrap).
-  class TouchedSet {
-   public:
-    void prepare(std::size_t expected_inserts);
-    [[nodiscard]] bool contains(graph::VertexId v) const noexcept;
-    void insert(graph::VertexId v) noexcept;
-
-   private:
-    std::vector<graph::VertexId> keys_;
-    std::vector<std::uint32_t> stamps_;
-    std::uint32_t epoch_ = 0;
   };
 
   struct SearchOutcome {

@@ -1,7 +1,6 @@
 #include "paracosm/paracosm.hpp"
 
 #include <stdexcept>
-#include <unordered_set>
 
 #include "obs/trace_ring.hpp"
 #include "util/timer.hpp"
@@ -10,7 +9,6 @@ namespace paracosm::engine {
 
 using graph::GraphUpdate;
 using graph::UpdateOp;
-using graph::VertexId;
 
 namespace {
 
@@ -266,7 +264,8 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
     // (batch_backend.hpp): the CPU backend strides the scalar classifier
     // over the pool, the wide backend runs the mask kernels. Both produce
     // byte-identical verdicts (the wide path self-diffs per batch under
-    // PARACOSM_VERIFY).
+    // PARACOSM_VERIFY), and both stay on the caller for a batch too small
+    // to pay for a fork (WorkerPool::worth_forking).
     verdicts.assign(count, UpdateClass::kUnsafe);
     bool certified = false;
     if (invariant_) {
@@ -295,7 +294,7 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
     // Phase 2a — commit plan (cheap, sequential): the safe prefix up to the
     // first unsafe update (Figure 6) or, in strict mode, the first update
     // whose endpoints were already touched in this batch (DESIGN.md §4).
-    std::unordered_set<VertexId> touched;
+    touched_.prepare(2 * count);
     std::size_t safe_prefix = 0;
     bool hit_unsafe = false;
     while (safe_prefix < count) {
@@ -306,14 +305,14 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
         break;
       }
       if (config_.batch_mode == BatchMode::kStrict && upd.is_edge_op() &&
-          (touched.contains(upd.u) || touched.contains(upd.v))) {
+          (touched_.contains(upd.u) || touched_.contains(upd.v))) {
         // Snapshot verdict may be stale: defer for re-classification.
         ++result.deferred_conflicts;
         break;
       }
       if (upd.is_edge_op()) {
-        touched.insert(upd.u);
-        touched.insert(upd.v);
+        touched_.insert(upd.u);
+        touched_.insert(upd.v);
       }
       ++safe_prefix;
     }
@@ -351,7 +350,8 @@ StreamResult ParaCosm::process_stream(std::span<const GraphUpdate> stream,
     // collisions (in strict mode the endpoints are pairwise disjoint).
     // The batch is sharded across the pool via per-worker striped cursors
     // (shard_cursor.hpp): each worker drains a contiguous slice with
-    // uncontended claims and only steals from stragglers' shards.
+    // uncontended claims and only steals from stragglers' shards. A prefix
+    // below the fork grain is applied inline on the caller.
     if (safe_prefix > 0) {
 #ifdef PARACOSM_VERIFY
       // Metamorphic invariant (verify/invariants.hpp): a safe-classified

@@ -21,6 +21,7 @@
 #include "paracosm/inner_executor.hpp"
 #include "paracosm/invariant_stage.hpp"
 #include "paracosm/steal_executor.hpp"
+#include "paracosm/touched_set.hpp"
 #include "paracosm/worker_pool.hpp"
 #include "util/sync.hpp"
 
@@ -131,6 +132,7 @@ class ParaCosm {
   std::unique_ptr<BatchBackend> backend_cpu_;
   std::unique_ptr<BatchBackend> backend_wide_;
   std::unique_ptr<InvariantStage> invariant_;
+  TouchedSet touched_;  ///< strict-mode endpoint set, reused per batch
   ParallelStats loose_stats_;
   std::function<void(std::span<const csm::Assignment>)> on_match_;
 };

@@ -51,9 +51,11 @@ struct WorkerStats {
 struct ParallelStats {
   std::vector<WorkerStats> workers;
   std::int64_t serial_ns = 0;    ///< CPU time of sequential sections
-  std::int64_t dispatch_ns = 0;  ///< pool wake + join wall time (not search);
-                                 ///< kept out of busy_ns so pool overhead is
-                                 ///< visible separately (latency_profile)
+  /// Sum of WorkerPool::last_dispatch_ns() over the pooled regions: helper
+  /// starts later than the caller's + the caller's join wait after the last
+  /// share (not search, not load imbalance). Kept out of busy_ns so pool
+  /// overhead is visible separately (latency_profile).
+  std::int64_t dispatch_ns = 0;
 
   void ensure_size(std::size_t n) {
     if (workers.size() < n) workers.resize(n);

@@ -7,6 +7,7 @@
 
 #include "graph/generators.hpp"
 #include "paracosm/paracosm.hpp"
+#include "paracosm/worker_pool.hpp"
 #include "util/rng.hpp"
 
 namespace paracosm::verify {
@@ -183,7 +184,18 @@ std::vector<LaneConfig> backend_lane_matrix(const std::vector<unsigned>& threads
   for (const unsigned t : threads)
     lanes.push_back({Lane::kBatch, t, engine::BatchBackendKind::kAuto,
                      /*invariant_stage=*/true});
+  for (const unsigned t : threads) {
+    if (t < 2) continue;  // one worker never forks a batch phase
+    for (const auto kind :
+         {engine::BatchBackendKind::kCpu, engine::BatchBackendKind::kWide})
+      lanes.push_back(
+          {Lane::kBatch, t, kind, /*invariant_stage=*/false, forked_batch_size(t)});
+  }
   return lanes;
+}
+
+unsigned forked_batch_size(const unsigned threads) {
+  return static_cast<unsigned>(2 * engine::WorkerPool::kLanesPerWorker * threads);
 }
 
 std::string Divergence::to_string() const {
@@ -193,6 +205,7 @@ std::string Divergence::to_string() const {
   if (lane == Lane::kBatch && backend != engine::BatchBackendKind::kCpu)
     os << " backend=" << engine::batch_backend_name(backend);
   if (invariant_stage) os << " invariant_stage";
+  if (batch_size != 0) os << " k=" << batch_size;
   os << " query=" << query_index;
   if (update_index) os << " update=" << *update_index;
   os << ": " << message;
@@ -285,6 +298,7 @@ engine::Config lane_engine_config(const LaneConfig& lane) {
   cfg.batch_backend = lane.backend;
   if (lane.backend == engine::BatchBackendKind::kAuto) cfg.wide_auto_cutoff = 2;
   cfg.invariant_stage = lane.invariant_stage;
+  cfg.batch_size = lane.batch_size;
   // The verification matrix oversubscribes a single machine with up to 8
   // worker threads; park immediately instead of spinning for throughput.
   cfg.queue_spin_iters = 1;
@@ -339,6 +353,7 @@ std::optional<Divergence> check_cell(const FuzzCase& c, std::string_view algorit
   div.threads = lane.threads;
   div.backend = lane.backend;
   div.invariant_stage = lane.invariant_stage;
+  div.batch_size = lane.batch_size;
   div.query_index = query_index;
 
   DeltaReconciler rec;

@@ -93,6 +93,9 @@ struct LaneConfig {
   /// aggregate invariant certifies skip per-lane classification (DESIGN.md
   /// §14). ΔM must still match the oracle trace exactly.
   bool invariant_stage = false;
+  /// kBatch lanes only: Config::batch_size (0 = one lane per worker, which
+  /// keeps every batch phase below the fork grain, on the caller).
+  unsigned batch_size = 0;
 };
 
 /// The default verification matrix: sequential plus the two parallel
@@ -104,10 +107,17 @@ struct LaneConfig {
 /// backend, once on the wide (AVX2/SWAR) backend, and once on the kAuto
 /// router with the invariant stage on. The kAuto cells use a fixed
 /// wide_auto_cutoff of 2 lanes, so batches of at most 2 lanes go wide and
-/// larger ones go cpu. All cells reconcile against the same oracle trace,
-/// so a verdict divergence between backends surfaces as a ΔM divergence.
+/// larger ones go cpu. Each multi-worker thread count also gets a cpu and a
+/// wide batch cell at twice the fork grain (2 · WorkerPool::kLanesPerWorker
+/// lanes per worker), so their classify and safe-apply phases run on the
+/// pool. All cells reconcile against the same oracle trace, so a verdict
+/// divergence between backends surfaces as a ΔM divergence.
 [[nodiscard]] std::vector<LaneConfig> backend_lane_matrix(
     const std::vector<unsigned>& threads = {1, 2, 4, 8});
+
+/// Batch size at twice the fork grain for `threads` workers: large enough
+/// that the batch phases fork instead of running inline on the caller.
+[[nodiscard]] unsigned forked_batch_size(unsigned threads);
 
 /// One reconciliation failure, with everything needed to reproduce it.
 struct Divergence {
@@ -117,6 +127,7 @@ struct Divergence {
   unsigned threads = 1;
   engine::BatchBackendKind backend = engine::BatchBackendKind::kCpu;
   bool invariant_stage = false;
+  unsigned batch_size = 0;
   std::uint32_t query_index = 0;
   /// Update at which the divergence was detected (per-update lanes only;
   /// the batch lane reconciles whole-stream totals).

@@ -4,6 +4,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "csm/engine.hpp"
 #include "paracosm/multi_query.hpp"
@@ -98,30 +99,41 @@ std::vector<Divergence> check_multi_case(const FuzzCase& c,
     expected.push_back(sequential_totals(c, regs[r], 0, c.stream.size()));
   }
 
-  // Lane "static": shared engine at every thread count, plus the sharing-off
-  // baseline at the first one.
-  for (std::size_t variant = 0; variant < opts.thread_counts.size() + 1; ++variant) {
-    const bool sharing = variant < opts.thread_counts.size();
-    const unsigned threads =
-        sharing ? opts.thread_counts[variant] : opts.thread_counts.front();
+  // Lane "static": shared engine at every thread count, again at twice the
+  // fork grain (forked_batch_size, so the classify and safe-apply phases run
+  // on the pool rather than inline), plus the sharing-off baseline at the
+  // first thread count.
+  struct StaticVariant {
+    unsigned threads;
+    unsigned batch_size;  ///< Config::batch_size; 0 = one lane per worker
+    bool sharing;
+    const char* lane;
+  };
+  std::vector<StaticVariant> variants;
+  for (const unsigned t : opts.thread_counts) variants.push_back({t, 0, true, "static"});
+  for (const unsigned t : opts.thread_counts)
+    if (t > 1) variants.push_back({t, forked_batch_size(t), true, "static/forked"});
+  variants.push_back({opts.thread_counts.front(), 0, false, "static/no-share"});
+  for (const StaticVariant& v : variants) {
     graph::DataGraph g = c.graph;
     Config cfg;
-    cfg.threads = threads;
+    cfg.threads = v.threads;
+    cfg.batch_size = v.batch_size;
     MultiQueryEngine engine(g, cfg);
-    engine.set_shared_evaluation(sharing);
+    engine.set_shared_evaluation(v.sharing);
     std::vector<std::size_t> handles;
     for (const Registration& reg : regs)
       handles.push_back(engine.add_query(reg.algorithm, c.queries[reg.query_index]));
     const MultiStreamResult res = engine.process_stream(c.stream);
-    const char* lane = sharing ? "static" : "static/no-share";
     for (std::size_t r = 0; r < regs.size(); ++r) {
       const std::size_t h = handles[r];
       const Totals got_t{res.positive[h], res.negative[h]};
       if (got_t.positive != expected[r].positive ||
           got_t.negative != expected[r].negative) {
-        out.push_back(make_divergence(c, regs[r], threads,
+        out.push_back(make_divergence(c, regs[r], v.threads,
                                       static_cast<std::uint32_t>(r),
-                                      totals_message(lane, h, got_t, expected[r])));
+                                      totals_message(v.lane, h, got_t, expected[r])));
+        out.back().batch_size = v.batch_size;
         if (opts.stop_at_first) return out;
       }
     }

@@ -6,7 +6,9 @@
 // The lanes:
 //
 //   static      — all queries registered up front; the shared engine at every
-//                 thread count, plus the sharing-off baseline engine, must
+//                 thread count (at the default batch size and again at twice
+//                 the fork grain, so the batch phases also run on the pool),
+//                 plus the sharing-off baseline engine, must
 //                 match the independent runs exactly. This is the acceptance
 //                 property behind the scaling bench: sharing buys speed, never
 //                 counts.

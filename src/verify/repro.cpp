@@ -31,6 +31,8 @@ void save_repro(const Repro& r, std::ostream& out) {
     if (r.cell->backend != engine::BatchBackendKind::kCpu)
       out << "meta backend " << engine::batch_backend_name(r.cell->backend) << '\n';
     if (r.cell->invariant_stage) out << "meta invariant_stage 1\n";
+    if (r.cell->batch_size != 0)
+      out << "meta batch_size " << r.cell->batch_size << '\n';
     out << "meta query " << r.cell->query_index << '\n';
     if (r.cell->update_index) out << "meta update " << *r.cell->update_index << '\n';
     if (!r.cell->message.empty()) {
@@ -101,6 +103,8 @@ Repro load_repro(std::istream& in) {
       int flag = 0;
       ls >> flag;
       cell.invariant_stage = flag != 0;
+    } else if (key == "batch_size") {
+      ls >> cell.batch_size;
     } else if (key == "query") {
       ls >> cell.query_index;
     } else if (key == "update") {
@@ -168,7 +172,7 @@ std::vector<Divergence> check_repro(const Repro& r, const AlgorithmFactory& fact
     opts.algorithms = {};
     opts.algorithms.push_back(r.cell->algorithm);
     opts.lanes = {{r.cell->lane, r.cell->threads, r.cell->backend,
-                   r.cell->invariant_stage}};
+                   r.cell->invariant_stage, r.cell->batch_size}};
   }
   return check_case(r.fuzz_case, opts);
 }

@@ -5,12 +5,16 @@
 // match-buffer merge — to the cpu backend, on every thread count and on
 // both instruction paths. The tests pin:
 //
-//   * ΔM equality across {cpu, wide, auto} × {1,2,4,8} threads, full
-//     mapping granularity (not just totals);
+//   * ΔM equality across {cpu, wide, auto} × {1,2,4,8} threads × batch
+//     size {one lane per worker, 64}, full mapping granularity (not just
+//     totals);
 //   * kAuto routing by Config::wide_auto_cutoff (0 → all cpu, 1<<30 → all
 //     wide once the pool has more than one worker);
 //   * per-backend counter conservation (lanes == verdict sum, every wide
 //     lane accounted to exactly one resolution counter);
+//   * the fork grain: batches below WorkerPool::worth_forking run inline
+//     (no dispatch, no worker shards), batches above it fork, and ΔM, the
+//     batch plan and the verdicts are identical either way;
 //   * edge cases: empty batch, single-edge stream, all-unsafe batch;
 //   * forced SWAR vs forced AVX2 dispatch (identical verdicts; downgrade
 //     accounting when AVX2 is unavailable);
@@ -49,7 +53,8 @@ struct RunCapture {
 
 RunCapture run_stream(const SmallWorkload& wl, const char* algorithm,
                       BatchBackendKind kind, unsigned threads,
-                      unsigned wide_auto_cutoff = Config{}.wide_auto_cutoff) {
+                      unsigned wide_auto_cutoff = Config{}.wide_auto_cutoff,
+                      unsigned batch_size = 0) {
   RunCapture cap;
   auto alg = csm::make_algorithm(algorithm);
   if (!alg) {
@@ -61,6 +66,7 @@ RunCapture run_stream(const SmallWorkload& wl, const char* algorithm,
   cfg.threads = threads;
   cfg.batch_backend = kind;
   cfg.wide_auto_cutoff = wide_auto_cutoff;
+  cfg.batch_size = batch_size;
   cfg.batch_mode = BatchMode::kStrict;
   cfg.queue_spin_iters = 1;
   cfg.pool_spin_iters = 1;
@@ -120,37 +126,54 @@ TEST_P(BackendEquivalence, DeltaMIdenticalAcrossBackendsAndThreads) {
                       {BatchBackendKind::kAuto, 0},
                       {BatchBackendKind::kAuto, 1u << 30}};
   const RunCapture ref = run_stream(wl, algorithm, BatchBackendKind::kCpu, 1);
+  // k = 0 (one lane per worker) keeps every batch phase below the fork
+  // grain, on the caller; k = 64 lifts the first batches above it at every
+  // thread count here, so they classify, and long safe prefixes apply, on
+  // the pool. The batch plan of a given k must not depend on threads or
+  // backend.
+  ASSERT_GE(wl.stream.size(), WorkerPool::kLanesPerWorker * 8u);
+  const RunCapture ref64 =
+      run_stream(wl, algorithm, BatchBackendKind::kCpu, 1, kDefaultCutoff, 64);
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    for (const auto [kind, cutoff] : arms) {
-      const RunCapture got = run_stream(wl, algorithm, kind, threads, cutoff);
-      EXPECT_EQ(got.positive, ref.positive)
-          << algorithm << " backend=" << batch_backend_name(kind)
-          << " threads=" << threads;
-      EXPECT_EQ(got.negative, ref.negative)
-          << algorithm << " backend=" << batch_backend_name(kind)
-          << " threads=" << threads;
-      // Byte-identical ΔM: same mappings, same boundaries, same order.
-      EXPECT_EQ(got.sizes, ref.sizes)
-          << algorithm << " backend=" << batch_backend_name(kind)
-          << " threads=" << threads;
-      EXPECT_EQ(got.flat, ref.flat)
-          << algorithm << " backend=" << batch_backend_name(kind)
-          << " threads=" << threads;
-      expect_conserved(got.result);
-      // kAuto on a one-worker pool always goes wide, whatever the cutoff.
-      const bool all_cpu = kind == BatchBackendKind::kCpu ||
-                           (kind == BatchBackendKind::kAuto && cutoff == 0 &&
-                            threads > 1);
-      const bool all_wide = kind == BatchBackendKind::kWide ||
-                            (kind == BatchBackendKind::kAuto &&
-                             (cutoff == 1u << 30 || threads == 1));
-      if (all_cpu) {
-        EXPECT_EQ(got.result.backend_wide.batches, 0u)
-            << algorithm << " cutoff=" << cutoff << " threads=" << threads;
-      }
-      if (all_wide) {
-        EXPECT_EQ(got.result.backend_cpu.batches, 0u)
-            << algorithm << " cutoff=" << cutoff << " threads=" << threads;
+    for (const unsigned k : {0u, 64u}) {
+      for (const auto [kind, cutoff] : arms) {
+        const RunCapture got = run_stream(wl, algorithm, kind, threads, cutoff, k);
+        const std::string where =
+            std::string(algorithm) + " backend=" +
+            std::string(batch_backend_name(kind)) + " cutoff=" +
+            std::to_string(cutoff) + " threads=" + std::to_string(threads) +
+            " k=" + std::to_string(k);
+        EXPECT_EQ(got.positive, ref.positive) << where;
+        EXPECT_EQ(got.negative, ref.negative) << where;
+        // Byte-identical ΔM: same mappings, same boundaries, same order.
+        EXPECT_EQ(got.sizes, ref.sizes) << where;
+        EXPECT_EQ(got.flat, ref.flat) << where;
+        expect_conserved(got.result);
+        if (k == 64) {
+          const StreamResult& a = ref64.result;
+          const StreamResult& b = got.result;
+          EXPECT_EQ(b.batches, a.batches) << where;
+          EXPECT_EQ(b.deferred_conflicts, a.deferred_conflicts) << where;
+          EXPECT_EQ(b.unsafe_sequential, a.unsafe_sequential) << where;
+          EXPECT_EQ(b.classifier.safe_label, a.classifier.safe_label) << where;
+          EXPECT_EQ(b.classifier.safe_degree, a.classifier.safe_degree) << where;
+          EXPECT_EQ(b.classifier.safe_ads, a.classifier.safe_ads) << where;
+          EXPECT_EQ(b.classifier.unsafe_updates, a.classifier.unsafe_updates)
+              << where;
+        }
+        // kAuto on a one-worker pool always goes wide, whatever the cutoff.
+        const bool all_cpu = kind == BatchBackendKind::kCpu ||
+                             (kind == BatchBackendKind::kAuto && cutoff == 0 &&
+                              threads > 1);
+        const bool all_wide = kind == BatchBackendKind::kWide ||
+                              (kind == BatchBackendKind::kAuto &&
+                               (cutoff == 1u << 30 || threads == 1));
+        if (all_cpu) {
+          EXPECT_EQ(got.result.backend_wide.batches, 0u) << where;
+        }
+        if (all_wide) {
+          EXPECT_EQ(got.result.backend_cpu.batches, 0u) << where;
+        }
       }
     }
   }
@@ -217,6 +240,82 @@ TEST_F(DirectBackends, SingleEdgeBatchesAgree) {
   EXPECT_EQ(cpu->stats().lanes, wl_.stream.size());
   EXPECT_EQ(wide->stats().lanes, wl_.stream.size());
   EXPECT_EQ(cpu->stats().batches, wl_.stream.size());
+}
+
+TEST_F(DirectBackends, ClassifyForksOnlyAboveTheGrain) {
+  // Two workers: a fork pays from 2 * kLanesPerWorker lanes on.
+  const std::size_t grain = WorkerPool::kLanesPerWorker * pool_->size();
+  ASSERT_GT(wl_.stream.size(), grain);
+  ASSERT_FALSE(pool_->worth_forking(grain - 1));
+  ASSERT_TRUE(pool_->worth_forking(grain));
+  std::vector<UpdateClass> expected(wl_.stream.size());
+  for (std::size_t j = 0; j < wl_.stream.size(); ++j)
+    expected[j] = classifier_->classify(wl_.stream[j]);
+
+  for (const auto kind : {BatchBackendKind::kCpu, BatchBackendKind::kWide}) {
+    auto backend = make_batch_backend(kind, bind_);
+    // Below the grain: classified inline on the caller, no fork.
+    ParallelStats below;
+    std::vector<UpdateClass> few(grain - 1, UpdateClass::kUnsafe);
+    backend->classify_batch(std::span(wl_.stream).first(grain - 1), few, below);
+    EXPECT_EQ(below.dispatch_ns, 0);
+    EXPECT_TRUE(below.workers.empty()) << backend->name();
+    EXPECT_TRUE(std::equal(few.begin(), few.end(), expected.begin()))
+        << backend->name();
+
+    // The whole stream as one batch: verdicts unchanged by the fork.
+    ParallelStats above;
+    std::vector<UpdateClass> all(wl_.stream.size(), UpdateClass::kUnsafe);
+    backend->classify_batch(wl_.stream, all, above);
+    EXPECT_EQ(all, expected) << backend->name();
+  }
+  // The cpu backend strides every lane over the pool once it forks.
+  auto cpu = make_batch_backend(BatchBackendKind::kCpu, bind_);
+  ParallelStats forked;
+  std::vector<UpdateClass> v(grain, UpdateClass::kUnsafe);
+  cpu->classify_batch(std::span(wl_.stream).first(grain), v, forked);
+  EXPECT_EQ(forked.workers.size(), pool_->size());
+}
+
+TEST(ForkGrain, SafePrefixAppliesInlineBelowTheGrain) {
+  SmallWorkload wl = make_workload(23, 400, 1800, 8, 1, 4, 0.4, 0.5);
+  auto alg = csm::make_algorithm("symbi");
+  alg->attach(wl.query, wl.graph);
+  const UpdateClassifier classifier(wl.query, wl.graph, *alg);
+  WorkerPool pool(2);
+  util::StripedLocks<64> locks;
+  const BackendBind bind{&wl.query, &wl.graph, alg.get(), &classifier, &pool,
+                         &locks};
+  // Endpoint-disjoint safe inserts: the shape of a strict-mode safe prefix.
+  std::vector<GraphUpdate> safe;
+  std::vector<bool> touched(wl.graph.vertex_capacity(), false);
+  for (const GraphUpdate& upd : wl.stream) {
+    if (upd.op != graph::UpdateOp::kInsertEdge || touched[upd.u] ||
+        touched[upd.v] || !is_safe(classifier.classify(upd)))
+      continue;
+    touched[upd.u] = touched[upd.v] = true;
+    safe.push_back(upd);
+  }
+  const std::size_t grain = WorkerPool::kLanesPerWorker * pool.size();
+  ASSERT_GE(safe.size(), 2 * grain - 1) << "workload too small for the test";
+  auto backend = make_batch_backend(BatchBackendKind::kCpu, bind);
+
+  // Below the grain: applied on the caller — no dispatch, no worker shards.
+  ParallelStats below;
+  backend->apply_safe_prefix(std::span(safe).first(grain - 1), below);
+  EXPECT_EQ(below.dispatch_ns, 0);
+  EXPECT_EQ(below.total_shard_updates(), 0u);
+
+  // At the grain: sharded over the pool, every lane claimed by some worker.
+  ParallelStats above;
+  backend->apply_safe_prefix(std::span(safe).subspan(grain - 1, grain), above);
+  EXPECT_EQ(above.workers.size(), pool.size());
+  EXPECT_EQ(above.total_shard_updates(), grain);
+
+  // Either way the graph ends exactly where a serial apply would.
+  for (std::size_t j = 0; j < 2 * grain - 1; ++j)
+    EXPECT_EQ(wl.graph.edge_label(safe[j].u, safe[j].v), safe[j].label)
+        << "lane " << j;
 }
 
 TEST_F(DirectBackends, AllUnsafeBatchAgrees) {

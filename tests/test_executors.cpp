@@ -4,6 +4,8 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,15 @@
 
 namespace paracosm::engine {
 namespace {
+
+/// Threads of this process (one /proc/self/task entry each).
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
 
 csm::SearchTask make_task(std::uint32_t depth) {
   csm::SearchTask t;
@@ -242,8 +253,102 @@ TEST(WorkerPool, ParksWhenSpinBudgetIsZero) {
   for (int round = 0; round < 5; ++round)
     pool.run([&](unsigned) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 10);
-  // With no spin window every worker must have parked at least once.
+  // With no spin window every helper must have parked at least once.
   EXPECT_GT(pool.total_parks(), parks0);
+}
+
+TEST(WorkerPool, CallerRunsWorkerZero) {
+  WorkerPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::array<std::thread::id, 4> ran_on{};
+  for (int round = 0; round < 20; ++round) {
+    pool.run([&](unsigned wid) { ran_on[wid] = std::this_thread::get_id(); });
+    EXPECT_EQ(ran_on[0], caller);
+    for (unsigned w = 1; w < 4; ++w) EXPECT_NE(ran_on[w], caller) << "worker " << w;
+  }
+}
+
+TEST(WorkerPool, SpawnsOneHelperFewerThanItsSize) {
+  const std::size_t before = process_threads();
+  {
+    WorkerPool solo(1);
+    EXPECT_EQ(solo.size(), 1u);
+    EXPECT_EQ(process_threads(), before);  // worker 0 is the caller
+    const std::thread::id caller = std::this_thread::get_id();
+    std::thread::id ran_on;
+    solo.run([&](unsigned) { ran_on = std::this_thread::get_id(); });
+    EXPECT_EQ(ran_on, caller);
+    EXPECT_EQ(solo.last_dispatch_ns(), 0);
+  }
+  {
+    WorkerPool pool(3);
+    EXPECT_EQ(process_threads(), before + 2);
+    // Three workers on three distinct threads, worker 0 on the caller.
+    std::array<std::thread::id, 3> ran_on{};
+    pool.run([&](unsigned wid) { ran_on[wid] = std::this_thread::get_id(); });
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+    EXPECT_NE(ran_on[1], ran_on[0]);
+    EXPECT_NE(ran_on[2], ran_on[0]);
+    EXPECT_NE(ran_on[1], ran_on[2]);
+  }
+  // join() returns once a helper has cleared its thread id, which can be a
+  // moment before the kernel drops its /proc/self/task entry: poll briefly.
+  std::size_t after = process_threads();
+  for (int i = 0; i < 2000 && after != before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    after = process_threads();
+  }
+  EXPECT_EQ(after, before);
+}
+
+TEST(WorkerPool, DispatchNeverExceedsTheRun) {
+  WorkerPool pool(3);
+  for (int round = 0; round < 20; ++round) {
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.run([&](unsigned wid) {
+      // Uneven shares: load imbalance is not dispatch overhead.
+      if (wid == 2) std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+    const auto wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    EXPECT_GE(pool.last_dispatch_ns(), 0);
+    EXPECT_LE(pool.last_dispatch_ns(), wall);
+  }
+}
+
+/// Any thread may call run(), one call at a time. The caller becomes worker
+/// 0 and owns deque 0 for the duration of the run, so deque 0's owner moves
+/// between threads across runs; the join of the previous run orders its
+/// owner operations before the next owner's (TSan checks the handoff).
+TEST(WorkerPool, RunFromAlternatingThreadsHandsOverDequeZero) {
+  testing::SmallWorkload wl = testing::make_workload(97, 48, 140, 2, 1, 5, 0.0, 0.0);
+  auto alg = csm::make_algorithm("graphflow");
+  alg->attach(wl.query, wl.graph);
+  util::Rng rng(13);
+  auto stream = graph::make_insert_stream(wl.graph, 0.25, rng);
+  WorkerPool pool(3, 8);
+  InnerExecutor executor(pool, 4, /*dynamic_balance=*/true,
+                         QueueKnobs{.spin_iters = 8});
+  std::uint64_t worker0_tasks = 0;
+  for (const auto& upd : stream) {
+    ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
+    alg->on_edge_inserted(upd);
+    std::vector<csm::SearchTask> seeds;
+    alg->seeds(upd, seeds);
+    if (seeds.empty()) continue;
+    csm::MatchSink seq;
+    for (const auto& task : seeds) alg->expand(task, seq, nullptr);
+    // Two different threads, one after the other, on the same pool.
+    for (int caller = 0; caller < 2; ++caller) {
+      InnerRunResult par;
+      std::thread t([&] { par = executor.run(*alg, seeds); });
+      t.join();
+      EXPECT_EQ(par.matches, seq.matches) << "caller thread " << caller;
+      worker0_tasks += par.stats.workers[0].tasks;
+    }
+  }
+  EXPECT_GT(worker0_tasks, 0u) << "deque 0 never served a task";
 }
 
 struct ExecCase {

@@ -65,6 +65,46 @@ TEST(MultiQueryEngine, MatchesIndependentSingleQueryRuns) {
   }
 }
 
+// The batch phases fork only from WorkerPool::kLanesPerWorker lanes per
+// worker (DESIGN.md §11). At k = 64 over 4 workers the classify and apply
+// phases run on the pool; at the default k = threads, and at one thread,
+// they stay inline. Per-query ΔM and the batch plan must not notice.
+TEST(MultiQueryEngine, ForkedAndInlineBatchesAgree) {
+  util::Rng rng(4242);
+  graph::DataGraph base = graph::generate_erdos_renyi(400, 1800, 8, 1, rng);
+  std::vector<QuerySpec> specs;
+  for (const auto name : {"graphflow", "symbi"}) {
+    const auto q = graph::extract_query(base, 4, rng);
+    ASSERT_TRUE(q.has_value());
+    specs.push_back({std::string(name), *q});
+  }
+  const auto stream = graph::make_mixed_stream(base, 0.4, 0.5, rng);
+  const auto run = [&](unsigned threads, unsigned k) {
+    graph::DataGraph g = base;
+    Config cfg;
+    cfg.threads = threads;
+    cfg.batch_size = k;
+    MultiQueryEngine engine(g, cfg);
+    for (const auto& spec : specs) engine.add_query(spec.algorithm, spec.query);
+    return engine.process_stream(stream);
+  };
+  const MultiStreamResult ref = run(1, 64);
+  const MultiStreamResult forked = run(4, 64);
+  const MultiStreamResult small = run(4, 0);
+  EXPECT_GT(forked.stats.total_shard_updates(), 0u);
+  EXPECT_EQ(small.stats.total_shard_updates(), 0u);
+  EXPECT_EQ(forked.safe_applied, ref.safe_applied);
+  EXPECT_EQ(forked.unsafe_sequential, ref.unsafe_sequential);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto want = single_query_totals(base, specs[i].query,
+                                          specs[i].algorithm, stream);
+    for (const MultiStreamResult* r : {&ref, &forked, &small}) {
+      EXPECT_EQ(r->positive[i], want.first) << specs[i].algorithm;
+      EXPECT_EQ(r->negative[i], want.second) << specs[i].algorithm;
+    }
+  }
+}
+
 TEST(MultiQueryEngine, SafeOnlyWhenSafeForEveryQuery) {
   // Query 1 matches label pair (0,1); query 2 matches (2,3). An edge with
   // labels (2,3) is unsafe for query 2 even though query 1 filters it.

@@ -119,7 +119,7 @@ TEST(ObsIntegration, SpanTreeMatchesEngineAccounting) {
   testing::SmallWorkload wl = fixed_workload();
   const auto alg = csm::make_algorithm("graphflow");
 
-  obs::set_trace_level(1);  // before the ctor: workers name their lanes
+  obs::set_trace_level(1);
   engine::ParaCosm pc(*alg, wl.query, wl.graph, fast_config(4));
   const engine::StreamResult res = pc.process_stream(wl.stream);
   const CollectedTrace trace = collect_tracing();
@@ -177,11 +177,24 @@ TEST(ObsIntegration, SpanTreeMatchesEngineAccounting) {
       ASSERT_EQ(ring.events[i].seq, ring.events[i - 1].seq + 1)
           << "lane " << ring.name;
 
-  // Worker lanes got named by the pool; batch spans live on the caller lane.
-  bool saw_worker = false;
-  for (const RingSnapshot& ring : trace.rings)
-    saw_worker |= ring.name.rfind("worker ", 0) == 0;
-  EXPECT_TRUE(saw_worker);
+  // Batch spans live on the caller's lane (the caller is worker 0); every
+  // other lane that recorded is a pool helper's and carries the name the
+  // pool gave it. A helper's ring registers on its first event, so a helper
+  // the caller never needed (small searches drain on the caller) has none.
+  std::size_t caller_lanes = 0;
+  for (const RingSnapshot& ring : trace.rings) {
+    if (ring.events.empty()) continue;
+    const bool caller = std::any_of(
+        ring.events.begin(), ring.events.end(), [](const TraceEvent& ev) {
+          return ev.kind == static_cast<std::uint32_t>(EventKind::kBatch);
+        });
+    if (caller)
+      ++caller_lanes;
+    else
+      EXPECT_EQ(ring.name.rfind("worker ", 0), 0u)
+          << "unnamed helper lane " << ring.tid << " '" << ring.name << "'";
+  }
+  EXPECT_EQ(caller_lanes, 1u);
 
   // The collected trace exports to a loadable Chrome trace.
   const std::string path = ::testing::TempDir() + "/obs_integration_trace.json";
@@ -193,6 +206,27 @@ TEST(ObsIntegration, SpanTreeMatchesEngineAccounting) {
   EXPECT_NE(buf.str().find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(buf.str().find("\"name\":\"update\""), std::string::npos);
   EXPECT_NE(buf.str().find("\"name\":\"batch\""), std::string::npos);
+}
+
+// ------------------------------------------------ idle lanes cost nothing
+
+// Pool helpers name their lane at start-up, but a lane's ring (1 MiB) is
+// only registered when the thread records its first event. Engines built,
+// run and destroyed with tracing off must leave the registry as they found
+// it — registry entries outlive their threads, so one ring per helper per
+// engine would otherwise accumulate for the life of the process.
+TEST(ObsIntegration, UntracedEnginesRegisterNoRings) {
+  TraceLevelGuard guard;
+  obs::set_trace_level(0);
+  const std::size_t lanes = TraceRegistry::instance().collect().size();
+  for (int round = 0; round < 4; ++round) {
+    testing::SmallWorkload wl = fixed_workload();
+    const auto alg = csm::make_algorithm("graphflow");
+    engine::ParaCosm pc(*alg, wl.query, wl.graph, fast_config(4));
+    const engine::StreamResult res = pc.process_stream(wl.stream);
+    EXPECT_GT(res.batches, 0u);
+  }
+  EXPECT_EQ(TraceRegistry::instance().collect().size(), lanes);
 }
 
 // ------------------------------------------------ backend counter conservation

@@ -4,6 +4,8 @@
 // sequential ΔM totals, and the executors' bookkeeping must add up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "paracosm/paracosm.hpp"
 #include "csm/oracle.hpp"
 #include "tests/test_support.hpp"
@@ -70,6 +72,11 @@ TEST_P(ParaCosmEquivalence, StreamTotalsMatchSequential) {
     if (c.batch_size == 1) {
       EXPECT_EQ(result.batches, result.updates_processed);
     }
+    // A k above the fork grain only tests the pooled phases if the stream
+    // fills at least one batch past the grain.
+    if (c.batch_size >= engine::WorkerPool::kLanesPerWorker * c.threads) {
+      EXPECT_GE(wl.stream.size(), engine::WorkerPool::kLanesPerWorker * c.threads);
+    }
   }
 }
 
@@ -89,6 +96,14 @@ std::vector<PcCase> equivalence_cases() {
   }
   for (const auto name : csm::algorithm_names())
     cases.push_back({std::string(name), 2, 3, true, BatchMode::kStrict, 1, seed++});
+  // k = 64 is above the fork grain at 2 and 4 threads, so these batches
+  // classify (and, for long enough safe prefixes, apply) on the pool; the
+  // default k = threads cases above stay inline (DESIGN.md §11).
+  for (const auto name : csm::algorithm_names()) {
+    for (const unsigned threads : {2u, 4u})
+      cases.push_back({std::string(name), threads, 3, true, BatchMode::kStrict, 64,
+                       seed++});
+  }
   return cases;
 }
 
@@ -172,6 +187,76 @@ TEST(ParaCosmStats, WorkerAccountingAddsUp) {
   for (const auto& w : result.stats.workers) worker_matches += w.matches;
   // Matches found by workers (inner executor) are those of unsafe updates.
   EXPECT_LE(worker_matches, result.delta_matches());
+}
+
+// Work-first batch phases (DESIGN.md §11): a batch with fewer lanes than
+// WorkerPool::kLanesPerWorker per worker is classified and applied on the
+// caller without a fork; a larger one shards its safe prefix over the pool.
+// Inner parallelism is off so dispatch_ns counts only the batch phases.
+TEST(ParaCosmForkGrain, SmallBatchesStayInlineLargeOnesSpread) {
+  const SmallWorkload wl = make_workload(4711, 400, 1800, 8, 1, 4, 0.4, 0.5);
+  ASSERT_GE(wl.stream.size(), 500u);
+  const auto run = [&](unsigned threads, unsigned k) {
+    auto alg = csm::make_algorithm("symbi");
+    Config cfg;
+    cfg.threads = threads;
+    cfg.batch_size = k;
+    cfg.inner_parallelism = false;
+    graph::DataGraph g = wl.graph;
+    ParaCosm pc(*alg, wl.query, g, cfg);
+    std::vector<csm::Assignment> flat;
+    pc.set_match_callback([&flat](std::span<const csm::Assignment> m) {
+      flat.insert(flat.end(), m.begin(), m.end());
+    });
+    StreamResult r = pc.process_stream(wl.stream);
+    return std::pair{std::move(r), std::move(flat)};
+  };
+  const auto [pos, neg] = sequential_totals("symbi", wl);
+
+  // k = 4 at 4 workers: below the grain, so no batch phase forks.
+  const auto [small, small_flat] = run(4, 4);
+  ASSERT_LT(4u, engine::WorkerPool::kLanesPerWorker * 4);
+  EXPECT_EQ(small.stats.dispatch_ns, 0);
+  EXPECT_EQ(small.stats.total_shard_updates(), 0u);
+  EXPECT_GT(small.safe_applied, 0u);
+
+  // k = 256: safe prefixes fork and more than one worker applies lanes.
+  // Which worker claims a lane is timing: on an oversubscribed host the
+  // caller can drain a whole stream before a helper wakes, so the spread
+  // only has to show within a few runs.
+  const auto [big, big_flat] = run(4, 256);
+  EXPECT_GT(big.stats.total_shard_updates(), 0u);
+  EXPECT_LE(big.stats.total_shard_updates(), big.safe_applied);
+  std::vector<bool> applied(4, false);
+  const auto appliers_after = [&applied](const StreamResult& r) {
+    for (std::size_t w = 0; w < r.stats.workers.size(); ++w)
+      if (r.stats.workers[w].shard_updates > 0) applied[w] = true;
+    return std::count(applied.begin(), applied.end(), true);
+  };
+  auto appliers = appliers_after(big);
+  for (int attempt = 1; attempt < 8 && appliers < 2; ++attempt)
+    appliers = appliers_after(run(4, 256).first);
+  EXPECT_GE(appliers, 2);
+
+  // ΔM, verdicts and the batch plan match the one-worker run of the same k.
+  const auto expect_same = [&](const StreamResult& par,
+                               const std::vector<csm::Assignment>& par_flat,
+                               unsigned k) {
+    const auto [ref, ref_flat] = run(1, k);
+    EXPECT_EQ(par.positive, pos) << "k=" << k;
+    EXPECT_EQ(par.negative, neg) << "k=" << k;
+    EXPECT_EQ(par_flat, ref_flat) << "k=" << k;
+    EXPECT_EQ(par.batches, ref.batches) << "k=" << k;
+    EXPECT_EQ(par.deferred_conflicts, ref.deferred_conflicts) << "k=" << k;
+    EXPECT_EQ(par.unsafe_sequential, ref.unsafe_sequential) << "k=" << k;
+    EXPECT_EQ(par.classifier.safe_label, ref.classifier.safe_label) << "k=" << k;
+    EXPECT_EQ(par.classifier.safe_degree, ref.classifier.safe_degree) << "k=" << k;
+    EXPECT_EQ(par.classifier.safe_ads, ref.classifier.safe_ads) << "k=" << k;
+    EXPECT_EQ(par.classifier.unsafe_updates, ref.classifier.unsafe_updates)
+        << "k=" << k;
+  };
+  expect_same(small, small_flat, 4);
+  expect_same(big, big_flat, 256);
 }
 
 TEST(ParaCosmVertexOps, VertexInsertAndCascadingRemove) {

@@ -102,6 +102,7 @@ TEST(Repro, RoundTripsCaseAndCellMetadata) {
   d.threads = 4;
   d.backend = engine::BatchBackendKind::kAuto;
   d.invariant_stage = true;
+  d.batch_size = 64;
   d.query_index = 1;
   d.update_index = 7;
   d.message = "delta count mismatch:\nmulti-line detail";
@@ -121,6 +122,7 @@ TEST(Repro, RoundTripsCaseAndCellMetadata) {
   EXPECT_EQ(back.cell->threads, 4u);
   EXPECT_EQ(back.cell->backend, engine::BatchBackendKind::kAuto);
   EXPECT_TRUE(back.cell->invariant_stage);
+  EXPECT_EQ(back.cell->batch_size, 64u);
   EXPECT_EQ(back.cell->query_index, 1u);
   ASSERT_TRUE(back.cell->update_index.has_value());
   EXPECT_EQ(*back.cell->update_index, 7u);
