@@ -11,7 +11,7 @@
 #include <string>
 
 #include "bench/bench_util.hpp"
-#include "paracosm/steal_executor.hpp"
+#include "paracosm/inner_executor.hpp"
 #include "paracosm/task_queue.hpp"
 #include "paracosm/worker_pool.hpp"
 #include "util/hw_topo.hpp"
@@ -38,7 +38,7 @@ struct TopoTotals {
 };
 
 TopoTotals drive(const Workload& wl, const graph::QueryGraph& q,
-                 engine::StealingExecutor& exec) {
+                 engine::InnerExecutor& exec) {
   TopoTotals totals;
   auto alg = csm::make_algorithm("graphflow");
   graph::DataGraph g = wl.graph;
@@ -119,11 +119,11 @@ int main(int argc, char** argv) {
 
   struct Arm {
     const char* name;
-    engine::StealingExecutor* exec;
+    engine::InnerExecutor* exec;
     TopoTotals* sum;
   };
-  engine::StealingExecutor flat_exec(pool, 4, flat_knobs);
-  engine::StealingExecutor topo_exec(pool, 4, topo_knobs);
+  engine::InnerExecutor flat_exec(pool, 4, /*dynamic_balance=*/true, flat_knobs);
+  engine::InnerExecutor topo_exec(pool, 4, /*dynamic_balance=*/true, topo_knobs);
   TopoTotals flat_sum, topo_sum;
   const Arm arms[] = {{"flat", &flat_exec, &flat_sum},
                       {"topo", &topo_exec, &topo_sum}};

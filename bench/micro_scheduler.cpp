@@ -1,10 +1,9 @@
 // Scheduler microbenchmark: isolates the runtime substrate from the search.
 //
 // Part 1 drives a synthetic two-level task tree (trivial per-task work)
-// through the retained global mutex queue and the lock-free Chase–Lev queue
-// at 1/2/4/8 threads and reports scheduler CPU cost per task — on the
-// single-core CI box wall clock measures timeslicing, CPU time measures the
-// actual push/pop/steal overhead, which is what the rewrite targets.
+// through the lock-free Chase–Lev queue at 1/2/4/8 threads and reports
+// scheduler CPU cost per task — on a single-core box wall clock measures
+// timeslicing, CPU time measures the actual push/pop/steal overhead.
 //
 // Part 2 measures the persistent pool's fork/join dispatch overhead
 // (WorkerPool::last_dispatch_ns) for an empty job, spinning workers vs
@@ -62,32 +61,6 @@ double bench_cl_queue(unsigned threads) {
          static_cast<double>(kTasksPerRound * kRounds);
 }
 
-/// CPU ns/task for the PR-1-era global mutex queue.
-double bench_mutex_queue(unsigned threads) {
-  std::int64_t cpu_ns = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    engine::MutexTaskQueue queue;
-    for (int i = 0; i < kSeeds; ++i) queue.push(make_task(1));
-    std::vector<std::int64_t> worker_ns(threads, 0);
-    std::vector<std::thread> workers;
-    for (unsigned w = 0; w < threads; ++w) {
-      workers.emplace_back([&, w] {
-        util::ThreadCpuTimer timer;
-        while (auto task = queue.pop_or_finish()) {
-          if (task->depth() == 1)
-            for (int c = 0; c < kChildrenPerSeed; ++c) queue.push(make_task(2));
-          queue.retire();
-        }
-        worker_ns[w] = timer.elapsed_ns();
-      });
-    }
-    for (auto& t : workers) t.join();
-    for (const std::int64_t ns : worker_ns) cpu_ns += ns;
-  }
-  return static_cast<double>(cpu_ns) /
-         static_cast<double>(kTasksPerRound * kRounds);
-}
-
 /// Mean fork/join dispatch overhead for an empty parallel region.
 double bench_dispatch(unsigned threads, std::uint32_t spin_iters) {
   engine::WorkerPool pool(threads, spin_iters);
@@ -109,7 +82,7 @@ int main(int argc, char** argv) {
 
   print_experiment_banner(
       "Micro: scheduler substrate",
-      "Task-queue CPU cost per task (mutex vs Chase-Lev) and worker-pool "
+      "Chase-Lev task-queue CPU cost per task and worker-pool "
       "dispatch overhead (spin vs park-always), synthetic task tree");
 
   util::Table table({"metric", "variant", "threads", "ns"});
@@ -122,8 +95,6 @@ int main(int argc, char** argv) {
              util::CsvWriter::num(ns, 1)});
   };
 
-  for (unsigned threads : {1u, 2u, 4u, 8u})
-    row("cpu_per_task", "mutex-queue", threads, bench_mutex_queue(threads));
   for (unsigned threads : {1u, 2u, 4u, 8u})
     row("cpu_per_task", "cl-queue", threads, bench_cl_queue(threads));
   for (unsigned threads : {2u, 4u, 8u})

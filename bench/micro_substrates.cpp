@@ -256,19 +256,6 @@ void BM_TaskQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskQueuePushPop);
 
-void BM_MutexTaskQueuePushPop(benchmark::State& state) {
-  engine::MutexTaskQueue queue;
-  csm::SearchTask task{{{0, 1}, {1, 2}}};
-  for (auto _ : state) {
-    queue.push(csm::SearchTask(task));
-    auto popped = queue.try_pop();
-    benchmark::DoNotOptimize(popped);
-    queue.retire();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MutexTaskQueuePushPop);
-
 }  // namespace
 
 BENCHMARK_MAIN();

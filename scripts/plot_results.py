@@ -66,7 +66,6 @@ HANDLERS = {
     "fig12_filtering": (["algorithm"], "label_degree_percent"),
     "theory_model": (["algorithm"], "measured"),
     "ablation_split_depth": (["split_depth"], "makespan_ms"),
-    "ablation_scheduler": (["scheduler"], "makespan_ms"),
     "ablation_batch_size": (["batch_k", "mode"], "makespan_ms"),
     "baseline_recompute": (["algorithm"], "mean_ms"),
     "latency_profile": (["metric"], "sequential_us"),

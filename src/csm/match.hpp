@@ -112,9 +112,9 @@ class MatchSink {
 };
 
 /// Injected by the inner-update executor into the traversal routine
-/// (Algorithm 2). `want_offload` implements the
-/// `HasIdleThreads() && CQ.is_empty() && depth < SPLIT_DEPTH` predicate;
-/// `offload` pushes a subtree onto the concurrent queue CQ.
+/// (Algorithm 2). `want_offload` is the split rule (depth < SPLIT_DEPTH and
+/// a short own deque, inner_executor.hpp); `offload` pushes a subtree onto
+/// the concurrent queue CQ.
 class SplitHook {
  public:
   virtual ~SplitHook() = default;

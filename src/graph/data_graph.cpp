@@ -57,17 +57,20 @@ VertexId DataGraph::add_vertex(Label label) {
   return id;
 }
 
-void DataGraph::add_vertex_with_id(VertexId id, Label label) {
-  if (id >= vertices_.size()) {
-    vertices_.resize(id + 1);
-    // Vertex table: read by every worker during enumeration. Interleave +
-    // hugepage advice once per capacity jump (best-effort, DESIGN.md §10).
-    if (vertices_.capacity() != numa_advised_cap_) {
-      util::numa::place_shared(vertices_.data(),
-                               vertices_.capacity() * sizeof(VertexRec));
-      numa_advised_cap_ = vertices_.capacity();
-    }
+void DataGraph::reserve_vertex_slots(std::uint32_t n) {
+  if (n <= vertices_.size()) return;
+  vertices_.resize(n);
+  // Vertex table: read by every worker during enumeration. Interleave +
+  // hugepage advice once per capacity jump (best-effort, DESIGN.md §10).
+  if (vertices_.capacity() != numa_advised_cap_) {
+    util::numa::place_shared(vertices_.data(),
+                             vertices_.capacity() * sizeof(VertexRec));
+    numa_advised_cap_ = vertices_.capacity();
   }
+}
+
+void DataGraph::add_vertex_with_id(VertexId id, Label label) {
+  reserve_vertex_slots(id + 1);
   VertexRec& rec = vertices_[id];
   if (rec.alive && rec.label == label) return;
   if (rec.alive) {

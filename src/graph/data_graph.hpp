@@ -93,6 +93,9 @@ class DataGraph {
   /// vertex repositions it in the label buckets and in its neighbors'
   /// label-partitioned adjacency.
   void add_vertex_with_id(VertexId id, Label label);
+  /// Grow the vertex table to at least `n` slots; new slots are dead. Lets a
+  /// loader restore trailing removed ids, which carry no vertex record.
+  void reserve_vertex_slots(std::uint32_t n);
   /// Remove a vertex and all incident edges. Returns number of edges removed.
   std::size_t remove_vertex(VertexId id);
 

@@ -10,14 +10,13 @@
 
 namespace paracosm::engine {
 
-/// Inner-update scheduling strategy.
+/// Inner-update scheduler. Single-valued: the name refers to the CQ façade
+/// (task_queue.hpp) that the one inner executor runs on, with its stealing
+/// split rule (inner_executor.hpp). The field stays only because the
+/// wall-clock benchmark's replay checks it; removing it waits on a change to
+/// that benchmark.
 enum class Scheduler : std::uint8_t {
-  /// The paper's Algorithm 2: one concurrent queue, idle-triggered
-  /// re-splitting.
   kCentralQueue,
-  /// Per-worker deques with stealing (see steal_executor.hpp); often faster
-  /// when updates produce plentiful fan-out.
-  kWorkStealing,
 };
 
 /// Semantics of the inter-update batch executor.
@@ -89,9 +88,9 @@ struct Config {
 
   /// Idle-protocol knobs of the low-contention runtime (DESIGN.md §5).
   /// Spin iterations a worker hunts for stealable work before parking on the
-  /// queue's condvar. Parked workers still satisfy HasIdleThreads(), so the
-  /// split predicate is unaffected; the knob only trades wake latency
-  /// against burned cycles on oversubscribed machines.
+  /// queue's condvar. The split rule reads only the owner's deque depth, so
+  /// the knob only trades wake latency against burned cycles on
+  /// oversubscribed machines.
   std::uint32_t queue_spin_iters = 256;
 
   /// Spin iterations a pool worker polls the dispatch epoch before parking

@@ -1,25 +1,27 @@
 #include "paracosm/inner_executor.hpp"
 
+#include <atomic>
+
 #include "obs/trace_ring.hpp"
 #include "paracosm/match_buffer.hpp"
-#include "paracosm/task_queue.hpp"
 #include "util/timer.hpp"
 
 namespace paracosm::engine {
 
 namespace {
 
-/// Split hook handed to the traversal routine during the parallel phase:
-/// the paper's `HasIdleThreads() && CQ.is_empty() && depth < SPLIT_DEPTH`.
-class AdaptiveHook final : public csm::SplitHook {
+using MatchFn = std::function<void(std::span<const csm::Assignment>)>;
+
+/// Split hook of the dynamic path: keep the owner's deque primed with
+/// stealable work while the depth budget lasts, without flooding it.
+class StealHook final : public csm::SplitHook {
  public:
-  AdaptiveHook(TaskQueue& queue, unsigned wid, std::uint32_t split_depth,
-               WorkerStats& ws) noexcept
+  StealHook(TaskQueue& queue, unsigned wid, std::uint32_t split_depth,
+            WorkerStats& ws) noexcept
       : queue_(queue), wid_(wid), split_depth_(split_depth), ws_(ws) {}
 
   [[nodiscard]] bool want_offload(std::uint32_t depth) noexcept override {
-    return depth < split_depth_ && queue_.approx_size() == 0 &&
-           queue_.has_idle_workers();
+    return depth < split_depth_ && queue_.local_size(wid_) < 4;
   }
   void offload(csm::SearchTask&& task) override {
     ++ws_.offloads;
@@ -34,22 +36,47 @@ class AdaptiveHook final : public csm::SplitHook {
   WorkerStats& ws_;
 };
 
-/// Initialization-phase hook: Traverse_Next_Layer — always offload the
-/// direct children of the task being expanded (round-robin across deques).
-class ForcedSplitHook final : public csm::SplitHook {
- public:
-  ForcedSplitHook(TaskQueue& queue, std::uint32_t at_depth) noexcept
-      : queue_(queue), at_depth_(at_depth) {}
+/// The per-worker frame both paths share: each worker gets a sink (deadline,
+/// cancel, its own match buffer) and runs `loop(wid, sink, ws)`; afterwards
+/// node/match counts and stop flags are folded and the matches delivered on
+/// the caller in merged order.
+template <typename Loop>
+InnerRunResult run_workers(WorkerPool& pool, util::Clock::time_point deadline,
+                           const MatchFn* on_match, util::CancelView cancel,
+                           const Loop& loop) {
+  InnerRunResult result;
+  result.stats.ensure_size(pool.size());
+  std::vector<MatchBuffer> match_bufs;
+  if (on_match != nullptr) match_bufs.resize(pool.size());
 
-  [[nodiscard]] bool want_offload(std::uint32_t depth) noexcept override {
-    return depth == at_depth_;
+  std::atomic<bool> any_timed_out{false};
+  std::atomic<bool> any_cancelled{false};
+  pool.run([&](unsigned wid) {
+    WorkerStats& ws = result.stats.workers[wid];
+    csm::MatchSink sink;
+    sink.deadline = deadline;
+    sink.cancel = cancel;
+    if (on_match != nullptr)
+      sink.on_match = [buf = &match_bufs[wid]](std::span<const csm::Assignment> m) {
+        buf->append(m);
+      };
+    loop(wid, sink, ws);
+    ws.nodes += sink.nodes;
+    ws.matches += sink.matches;
+    if (sink.timed_out()) any_timed_out.store(true, std::memory_order_relaxed);
+    if (sink.cancelled()) any_cancelled.store(true, std::memory_order_relaxed);
+  });
+  result.stats.dispatch_ns += pool.last_dispatch_ns();
+  for (const WorkerStats& ws : result.stats.workers) {
+    result.matches += ws.matches;
+    result.nodes += ws.nodes;
   }
-  void offload(csm::SearchTask&& task) override { queue_.seed(std::move(task)); }
+  result.timed_out = any_timed_out.load(std::memory_order_relaxed);
+  result.cancelled = any_cancelled.load(std::memory_order_relaxed);
 
- private:
-  TaskQueue& queue_;
-  std::uint32_t at_depth_;
-};
+  if (on_match != nullptr) emit_merged_sorted(match_bufs, *on_match);
+  return result;
+}
 
 }  // namespace
 
@@ -62,90 +89,36 @@ InnerExecutor::InnerExecutor(WorkerPool& pool, std::uint32_t split_depth,
 
 InnerExecutor::~InnerExecutor() = default;
 
-InnerRunResult InnerExecutor::run(
-    const csm::CsmAlgorithm& alg, std::vector<csm::SearchTask> seeds,
-    util::Clock::time_point deadline,
-    const std::function<void(std::span<const csm::Assignment>)>* on_match,
-    util::CancelView cancel) {
+InnerRunResult InnerExecutor::run(const csm::CsmAlgorithm& alg,
+                                  std::vector<csm::SearchTask> seeds,
+                                  util::Clock::time_point deadline,
+                                  const MatchFn* on_match,
+                                  util::CancelView cancel) {
   if (seeds.empty()) return {};
   return dynamic_balance_
              ? run_dynamic(alg, std::move(seeds), deadline, on_match, cancel)
              : run_static(alg, std::move(seeds), deadline, on_match, cancel);
 }
 
-InnerRunResult InnerExecutor::run_dynamic(
-    const csm::CsmAlgorithm& alg, std::vector<csm::SearchTask> seeds,
-    util::Clock::time_point deadline,
-    const std::function<void(std::span<const csm::Assignment>)>* on_match,
-    util::CancelView cancel) {
-  InnerRunResult result;
-  const unsigned n = pool_.size();
-  result.stats.ensure_size(n);
+InnerRunResult InnerExecutor::run_dynamic(const csm::CsmAlgorithm& alg,
+                                          std::vector<csm::SearchTask> seeds,
+                                          util::Clock::time_point deadline,
+                                          const MatchFn* on_match,
+                                          util::CancelView cancel) {
   TaskQueue& queue = *queue_;  // persistent across updates: warm deques/nodes
-
-  // Per-worker match logs (last slot = the single-threaded init phase);
-  // merged and delivered in deterministic order at quiescence.
-  std::vector<MatchBuffer> match_bufs;
-  if (on_match != nullptr) match_bufs.resize(n + 1);
-
-  util::ThreadCpuTimer serial_timer;
   for (csm::SearchTask& seed : seeds) queue.seed(std::move(seed));
 
-  // Initialization phase: BFS-expand shallow tasks until there is enough
-  // fan-out for every worker. Tasks at or beyond SPLIT_DEPTH are parked —
-  // further splitting is not allowed for them anyway.
-  csm::MatchSink init_sink;
-  init_sink.deadline = deadline;
-  init_sink.cancel = cancel;
-  if (on_match != nullptr)
-    init_sink.on_match = [&match_bufs, n](std::span<const csm::Assignment> m) {
-      match_bufs[n].append(m);
-    };
-  std::vector<csm::SearchTask> parked;
-  while (queue.approx_size() + parked.size() < n) {
-    auto task = queue.try_pop();
-    if (!task) break;
-    if (task->depth() >= split_depth_) {
-      parked.push_back(std::move(*task));
-      continue;  // in_flight stays raised; re-pushed below
-    }
-    ForcedSplitHook hook(queue, task->depth());
-    alg.expand(*task, init_sink, &hook);
-    queue.retire();
-    if (init_sink.stopped()) break;
-  }
-  // Re-queue parked tasks without double-counting in_flight.
-  for (csm::SearchTask& task : parked) {
-    queue.seed(std::move(task));
-    queue.retire();
-  }
-  result.matches += init_sink.matches;
-  result.nodes += init_sink.nodes;
-  result.timed_out = result.timed_out || init_sink.timed_out();
-  result.cancelled = result.cancelled || init_sink.cancelled();
-  result.stats.serial_ns += serial_timer.elapsed_ns();
-
-  std::atomic<bool> any_timed_out{false};
-  std::atomic<bool> any_cancelled{false};
-  pool_.run([&](unsigned wid) {
-    WorkerStats& ws = result.stats.workers[wid];
-    csm::MatchSink sink;
-    sink.deadline = deadline;
-    sink.cancel = cancel;
-    if (on_match != nullptr)
-      sink.on_match = [buf = &match_bufs[wid]](std::span<const csm::Assignment> m) {
-        buf->append(m);
-      };
-    AdaptiveHook hook(queue, wid, split_depth_, ws);
+  return run_workers(pool_, deadline, on_match, cancel,
+                     [&](unsigned wid, csm::MatchSink& sink, WorkerStats& ws) {
+    StealHook hook(queue, wid, split_depth_, ws);
     // expand() draws its partial-match state from this worker's thread_local
-    // SearchScratch pool (csm/scratch.hpp), so the loop below performs no
-    // per-task allocations once the pool has warmed up. Busy time covers
-    // pop + expand but not the idle spin inside pop_or_finish, keeping the
-    // simulated-makespan accounting comparable across schedulers.
+    // SearchScratch pool (csm/scratch.hpp), so the loop performs no per-task
+    // allocations once warm. Busy time covers expand but not the idle
+    // steal-spin inside pop_or_finish.
     while (auto task = queue.pop_or_finish(wid)) {
-      // Dispatch-path cancel check (ISSUE 4): a cancelled epoch drains the
-      // queue without expanding, so workers converge even when individual
-      // tasks are tiny and never reach the in-search amortized probe.
+      // Dispatch-path cancel check: a cancelled epoch drains the queue
+      // without expanding, so workers converge even when individual tasks
+      // are tiny and never reach the in-search amortized probe.
       if (cancel.active() && cancel.cancelled()) {
         sink.mark_cancelled();
         queue.retire();
@@ -162,55 +135,23 @@ InnerRunResult InnerExecutor::run_dynamic(
       ++ws.tasks;
       ws.busy_ns += timer.elapsed_ns();
     }
-    ws.nodes += sink.nodes;
-    ws.matches += sink.matches;
     queue.export_counters(wid, ws);
-    if (sink.timed_out()) any_timed_out.store(true, std::memory_order_relaxed);
-    if (sink.cancelled()) any_cancelled.store(true, std::memory_order_relaxed);
   });
-  result.stats.dispatch_ns += pool_.last_dispatch_ns();
-  for (const WorkerStats& ws : result.stats.workers) {
-    result.matches += ws.matches;
-    result.nodes += ws.nodes;
-  }
-  result.timed_out =
-      result.timed_out || any_timed_out.load(std::memory_order_relaxed);
-  result.cancelled =
-      result.cancelled || any_cancelled.load(std::memory_order_relaxed);
-
-  if (on_match != nullptr) emit_merged_sorted(match_bufs, *on_match);
-  return result;
 }
 
-InnerRunResult InnerExecutor::run_static(
-    const csm::CsmAlgorithm& alg, std::vector<csm::SearchTask> seeds,
-    util::Clock::time_point deadline,
-    const std::function<void(std::span<const csm::Assignment>)>* on_match,
-    util::CancelView cancel) {
-  InnerRunResult result;
-  const unsigned n = pool_.size();
-  result.stats.ensure_size(n);
-
+InnerRunResult InnerExecutor::run_static(const csm::CsmAlgorithm& alg,
+                                         std::vector<csm::SearchTask> seeds,
+                                         util::Clock::time_point deadline,
+                                         const MatchFn* on_match,
+                                         util::CancelView cancel) {
   // Round-robin partition, no queue, no splitting: each worker owns a fixed
   // share of the root tasks regardless of how skewed their subtrees are.
-  std::vector<std::vector<csm::SearchTask>> shares(n);
+  std::vector<std::vector<csm::SearchTask>> shares(pool_.size());
   for (std::size_t i = 0; i < seeds.size(); ++i)
     shares[i % shares.size()].push_back(std::move(seeds[i]));
 
-  std::vector<MatchBuffer> match_bufs;
-  if (on_match != nullptr) match_bufs.resize(n);
-
-  std::atomic<bool> any_timed_out{false};
-  std::atomic<bool> any_cancelled{false};
-  pool_.run([&](unsigned wid) {
-    WorkerStats& ws = result.stats.workers[wid];
-    csm::MatchSink sink;
-    sink.deadline = deadline;
-    sink.cancel = cancel;
-    if (on_match != nullptr)
-      sink.on_match = [buf = &match_bufs[wid]](std::span<const csm::Assignment> m) {
-        buf->append(m);
-      };
+  return run_workers(pool_, deadline, on_match, cancel,
+                     [&](unsigned wid, csm::MatchSink& sink, WorkerStats& ws) {
     util::ThreadCpuTimer timer;
     for (const csm::SearchTask& task : shares[wid]) {
       if (cancel.active() && cancel.cancelled()) {
@@ -226,21 +167,7 @@ InnerRunResult InnerExecutor::run_static(
       if (sink.stopped()) break;
     }
     ws.busy_ns += timer.elapsed_ns();
-    ws.nodes += sink.nodes;
-    ws.matches += sink.matches;
-    if (sink.timed_out()) any_timed_out.store(true, std::memory_order_relaxed);
-    if (sink.cancelled()) any_cancelled.store(true, std::memory_order_relaxed);
   });
-  result.stats.dispatch_ns += pool_.last_dispatch_ns();
-  for (const WorkerStats& ws : result.stats.workers) {
-    result.matches += ws.matches;
-    result.nodes += ws.nodes;
-  }
-  result.timed_out = any_timed_out.load(std::memory_order_relaxed);
-  result.cancelled = any_cancelled.load(std::memory_order_relaxed);
-
-  if (on_match != nullptr) emit_merged_sorted(match_bufs, *on_match);
-  return result;
 }
 
 }  // namespace paracosm::engine

@@ -1,18 +1,23 @@
-// Inner-update executor (paper §4.1, Algorithm 2).
+// Inner-update executor (paper §4.1): splits one update's search tree across
+// the worker pool.
 //
-// Initialization phase: root-level tasks (the update's seeds) are expanded
-// breadth-first on the main thread until the concurrent queue holds at least
-// one task per worker, decomposing the search tree into independent
-// subtrees. Parallel phase: workers pop tasks and run the algorithm's own
-// traversal routine; the injected split hook re-offloads direct subtasks
-// whenever idle workers are observed, the queue is empty, and the depth is
-// below SPLIT_DEPTH — the paper's adaptive task-sharing rule.
+// Dynamic path: the update's seeds are dealt round-robin onto per-worker
+// Chase–Lev deques; each worker drains its own deque LIFO and steals FIFO
+// from the others. The split hook handed to the traversal routine offloads
+// direct subtasks onto the expanding worker's own deque while depth <
+// SPLIT_DEPTH and that deque holds fewer than four tasks, so every owner
+// keeps a little stealable work primed. This replaces Algorithm 2's serial
+// BFS seeding phase and its idle-triggered predicate (`HasIdleThreads() &&
+// CQ.is_empty()`): in wall time the stealing rule was faster on the
+// search-bound workload and level on the overhead-bound one (DESIGN.md §4).
 //
-// The concurrent queue is the lock-free per-worker-deque CQ of
-// task_queue.hpp and PERSISTS across run() calls, so steady-state updates
-// reuse warm deque rings and recycled task nodes. Match callbacks are
-// buffered per worker and delivered merged + lexicographically sorted after
-// quiescence (match_buffer.hpp) — no lock on the match path.
+// Static path (dynamic_balance = false): a fixed round-robin seed partition
+// with no splitting — the "unbalanced" baseline of Figure 10.
+//
+// The queue PERSISTS across run() calls, so steady-state updates reuse warm
+// deque rings and recycled task nodes. Match callbacks are buffered per
+// worker and delivered merged + lexicographically sorted after quiescence
+// (match_buffer.hpp) — no lock on the match path.
 #pragma once
 
 #include <functional>

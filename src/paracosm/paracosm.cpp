@@ -40,7 +40,6 @@ ParaCosm::ParaCosm(csm::CsmAlgorithm& alg, const graph::QueryGraph& q,
       pool_(config.effective_threads(), pool_options(config)),
       inner_(pool_, config.split_depth, config.dynamic_balance,
              queue_knobs(config, pool_)),
-      stealing_(pool_, config.split_depth, queue_knobs(config, pool_)),
       classifier_(q, g, alg) {
   alg_.attach(q_, g_);
   // Both batch backends are constructed up front (the wide bind is a few
@@ -131,9 +130,7 @@ csm::UpdateOutcome ParaCosm::process_edge(const GraphUpdate& upd,
     if (roots.empty()) return {0, 0};
     if (config_.inner_parallelism) {
       const auto* cb = on_match_ ? &on_match_ : nullptr;
-      InnerRunResult run = config_.scheduler == Scheduler::kWorkStealing
-                               ? stealing_.run(alg_, roots, deadline, cb, cancel)
-                               : inner_.run(alg_, roots, deadline, cb, cancel);
+      InnerRunResult run = inner_.run(alg_, roots, deadline, cb, cancel);
       stats.merge(run.stats);
       out.timed_out = out.timed_out || run.timed_out;
       out.cancelled = out.cancelled || run.cancelled;

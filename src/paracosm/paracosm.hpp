@@ -20,7 +20,6 @@
 #include "paracosm/config.hpp"
 #include "paracosm/inner_executor.hpp"
 #include "paracosm/invariant_stage.hpp"
-#include "paracosm/steal_executor.hpp"
 #include "paracosm/touched_set.hpp"
 #include "paracosm/worker_pool.hpp"
 #include "util/sync.hpp"
@@ -126,7 +125,6 @@ class ParaCosm {
   Config config_;
   WorkerPool pool_;
   InnerExecutor inner_;
-  StealingExecutor stealing_;
   UpdateClassifier classifier_;
   util::StripedLocks<64> locks_;
   std::unique_ptr<BatchBackend> backend_cpu_;

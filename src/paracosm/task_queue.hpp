@@ -1,39 +1,33 @@
-// The concurrent task queue CQ of Algorithm 2, rebuilt as a thin façade over
-// per-worker Chase–Lev deques (cl_deque.hpp).
+// The concurrent task queue CQ of the inner executor (paper §4.1), built as
+// a thin façade over per-worker Chase–Lev deques (cl_deque.hpp).
 //
-// The paper's CQ is a logically-global pool of search-tree tasks with two
-// split-predicate signals: the current queue length and whether any worker is
-// idle ("HasIdleThreads"). Both survive the rewrite as relaxed atomics; only
-// the storage changed — tasks now live in the pushing worker's own deque
-// (owner push/pop on the bottom, CAS-steal on the top), so the hot path is
-// lock-free and uncontended, and idle workers pull work via stealing instead
-// of a global mutex.
+// The paper's CQ is a logically-global pool of search-tree tasks. Here tasks
+// live in the pushing worker's own deque (owner push/pop on the bottom,
+// CAS-steal on the top), so the hot path is lock-free and uncontended, and
+// idle workers pull work by stealing instead of through a global mutex. The
+// executor's split rule reads only the owner's own deque depth
+// (`local_size`).
 //
 // Termination: `in_flight_` counts queued plus executing tasks and is raised
 // BEFORE a task becomes poppable — a task's children are always pushed before
 // the task itself retires, so in_flight only reaches zero once the whole tree
 // is explored. Idle protocol: a worker that finds nothing locally sweeps all
-// victims, then spins with exponential backoff (so the split predicate sees
-// it idle quickly), and finally parks on a condvar; pushes use a seq_cst
-// Dekker handshake with the parked count so no wakeup is lost (DESIGN.md §5).
+// victims, then spins with exponential backoff, and finally parks on a
+// condvar; pushes use a seq_cst Dekker handshake with the parked count so no
+// wakeup is lost (DESIGN.md §5).
 //
 // Thread roles:
-//   * quiescent phase (seeding / BFS initialization, single thread): `seed`
-//     and `try_pop` may be called from any one thread while no worker is
-//     inside `pop_or_finish` — the pool dispatch provides the ordering.
+//   * quiescent phase (seeding, single thread): `seed` may be called from
+//     any one thread while no worker is inside `pop_or_finish` — the pool
+//     dispatch provides the ordering.
 //   * parallel phase: `push(wid, ...)` is owner-only, `pop_or_finish(wid)`
 //     per worker, `retire()` from the worker that finished the task.
-//
-// MutexTaskQueue below is the PR-1-era global mutex queue, retained verbatim
-// as the comparison baseline for bench/micro_scheduler.cpp and
-// bench/ablation_scheduler.cpp. Production code must not use it.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -53,7 +47,7 @@ namespace paracosm::engine {
 struct QueueKnobs {
   /// Spin iterations (with periodic yields) in the find-work loop before a
   /// worker parks on the condvar. Small by design: parked workers are cheap
-  /// and the split predicate treats spinning and parked workers alike.
+  /// and every push wakes one of them.
   std::uint32_t spin_iters = 256;
 
   // --- topology-aware stealing (DESIGN.md §10) -----------------------------
@@ -123,20 +117,6 @@ class TaskQueue {
     push(wid, std::move(task));
   }
 
-  /// Non-blocking pop used by the single-threaded initialization phase.
-  /// Takes from the top (FIFO), preserving the BFS order Traverse_Next_Layer
-  /// relies on. Does NOT decrement in_flight (pair with retire()).
-  [[nodiscard]] std::optional<csm::SearchTask> try_pop() {
-    for (unsigned k = 0; k < n_; ++k) {
-      const unsigned v = (seed_rr_ + k) % n_;
-      if (csm::SearchTask* node = w_[v].deque.steal_top()) {
-        pending_.fetch_sub(1, std::memory_order_relaxed);
-        return take(v, node);
-      }
-    }
-    return std::nullopt;
-  }
-
   // --- parallel-phase API --------------------------------------------------
 
   /// Owner push: raises in_flight before the task becomes stealable.
@@ -162,28 +142,20 @@ class TaskQueue {
       pending_.fetch_sub(1, std::memory_order_relaxed);
       return take(wid, node);
     }
-    // Local deque dry: this worker now counts as idle for the paper's
-    // HasIdleThreads() signal until it finds work or the tree is exhausted.
-    idle_.fetch_add(1, std::memory_order_relaxed);
     util::SpinBackoff backoff;
     for (;;) {
       // One full victim sweep per attempt (topology-ordered when a victim
       // table is wired in, the PR-2 randomized ring otherwise).
       if (csm::SearchTask* node = sweep_victims(wid, me)) {
         pending_.fetch_sub(1, std::memory_order_relaxed);
-        idle_.fetch_sub(1, std::memory_order_relaxed);
         return take(wid, node);
       }
       // A split may have landed in our own deque while we were sweeping.
       if (csm::SearchTask* node = me.deque.pop_bottom()) {
         pending_.fetch_sub(1, std::memory_order_relaxed);
-        idle_.fetch_sub(1, std::memory_order_relaxed);
         return take(wid, node);
       }
-      if (in_flight_.load(std::memory_order_acquire) == 0) {
-        idle_.fetch_sub(1, std::memory_order_relaxed);
-        return std::nullopt;
-      }
+      if (in_flight_.load(std::memory_order_acquire) == 0) return std::nullopt;
       if (backoff.spins() < knobs_.spin_iters) {
         backoff.pause();
       } else {
@@ -199,19 +171,12 @@ class TaskQueue {
     if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) wake_all();
   }
 
-  // --- split-predicate signals (all relaxed reads) -------------------------
+  // --- relaxed reads ---------------------------------------------------------
 
-  [[nodiscard]] std::uint32_t approx_size() const noexcept {
-    const std::int64_t p = pending_.load(std::memory_order_relaxed);
-    return p > 0 ? static_cast<std::uint32_t>(p) : 0;
-  }
-  [[nodiscard]] bool has_idle_workers() const noexcept {
-    return idle_.load(std::memory_order_relaxed) > 0;
-  }
   [[nodiscard]] std::int64_t in_flight() const noexcept {
     return in_flight_.load(std::memory_order_relaxed);
   }
-  /// Depth of one worker's own deque (the stealing split policy's signal).
+  /// Depth of one worker's own deque (the executor's split signal).
   [[nodiscard]] std::size_t local_size(unsigned wid) const noexcept {
     return w_[wid].deque.size_approx();
   }
@@ -438,73 +403,7 @@ class TaskQueue {
 
   alignas(64) std::atomic<std::int64_t> pending_{0};   ///< queued tasks
   alignas(64) std::atomic<std::int64_t> in_flight_{0};  ///< queued + executing
-  alignas(64) std::atomic<std::uint32_t> idle_{0};      ///< hunting or parked
   alignas(64) std::atomic<std::uint32_t> parked_{0};    ///< parked subset
-};
-
-/// The pre-rewrite global mutex queue, kept ONLY as the before/after baseline
-/// for the scheduler benches. Same contract as TaskQueue's blocking API.
-class MutexTaskQueue {
- public:
-  void push(csm::SearchTask&& task) {
-    in_flight_.fetch_add(1, std::memory_order_relaxed);
-    {
-      const std::lock_guard lock(mutex_);
-      queue_.push_back(std::move(task));
-      size_.fetch_add(1, std::memory_order_relaxed);
-    }
-    cv_.notify_one();
-  }
-
-  [[nodiscard]] std::optional<csm::SearchTask> pop_or_finish() {
-    std::unique_lock lock(mutex_);
-    while (queue_.empty()) {
-      if (in_flight_.load(std::memory_order_relaxed) == 0) return std::nullopt;
-      idle_.fetch_add(1, std::memory_order_relaxed);
-      cv_.wait(lock, [this] {
-        return !queue_.empty() || in_flight_.load(std::memory_order_relaxed) == 0;
-      });
-      idle_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    csm::SearchTask task = std::move(queue_.front());
-    queue_.pop_front();
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    return task;
-  }
-
-  [[nodiscard]] std::optional<csm::SearchTask> try_pop() {
-    const std::lock_guard lock(mutex_);
-    if (queue_.empty()) return std::nullopt;
-    csm::SearchTask task = std::move(queue_.front());
-    queue_.pop_front();
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    return task;
-  }
-
-  void retire() {
-    if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      const std::lock_guard lock(mutex_);
-      cv_.notify_all();
-    }
-  }
-
-  [[nodiscard]] std::uint32_t approx_size() const noexcept {
-    return size_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool has_idle_workers() const noexcept {
-    return idle_.load(std::memory_order_relaxed) > 0;
-  }
-  [[nodiscard]] std::int64_t in_flight() const noexcept {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<csm::SearchTask> queue_;
-  std::atomic<std::uint32_t> size_{0};
-  std::atomic<std::uint32_t> idle_{0};
-  std::atomic<std::int64_t> in_flight_{0};
 };
 
 }  // namespace paracosm::engine

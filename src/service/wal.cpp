@@ -273,8 +273,10 @@ void write_snapshot(const std::string& path, const graph::DataGraph& g,
   {
     std::ofstream out(tmp, std::ios::trunc);
     if (!out) throw std::runtime_error("snapshot: cannot open '" + tmp + "'");
+    // `slots` keeps trailing removed ids: the body lists live vertices only.
     out << "# paracosm-snapshot 1 seq=" << meta.seq << " ads=" << std::hex
-        << meta.ads_checksum << std::dec << " alg=" << meta.algorithm << "\n";
+        << meta.ads_checksum << std::dec << " alg=" << meta.algorithm
+        << " slots=" << g.vertex_capacity() << "\n";
     graph::save_data_graph(g, out);
     out.flush();
     if (!out)
@@ -302,6 +304,7 @@ std::optional<Snapshot> read_snapshot(const std::string& path) {
 
   Snapshot snap;
   bool have_seq = false, have_ads = false;
+  std::uint32_t slots = 0;  // absent in older snapshots: live ids only
   std::string field;
   while (hs >> field) {
     const auto eq = field.find('=');
@@ -317,6 +320,10 @@ std::optional<Snapshot> read_snapshot(const std::string& path) {
         have_ads = true;
       } else if (key == "alg") {
         snap.meta.algorithm = value;
+      } else if (key == "slots") {
+        const unsigned long long n = std::stoull(value);
+        if (n > graph::kInvalidVertex) return std::nullopt;
+        slots = static_cast<std::uint32_t>(n);
       }
     } catch (const std::exception&) {
       return std::nullopt;
@@ -329,6 +336,9 @@ std::optional<Snapshot> read_snapshot(const std::string& path) {
   } catch (const graph::ParseException&) {
     return std::nullopt;  // truncated/corrupt body: fall back to base + WAL
   }
+  if (slots != 0 && slots < snap.graph.vertex_capacity())
+    return std::nullopt;  // header disagrees with the body
+  snap.graph.reserve_vertex_slots(slots);
   return snap;
 }
 

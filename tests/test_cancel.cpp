@@ -81,16 +81,12 @@ TEST(Watchdog, CancelsOverdueEpochOnly) {
 struct ExecCase {
   const char* name;
   bool inner;
-  engine::Scheduler scheduler;
   unsigned threads;
 };
 
 std::vector<ExecCase> executor_matrix() {
-  std::vector<ExecCase> cases{{"sequential", false, engine::Scheduler::kCentralQueue, 1}};
-  for (const unsigned t : {1u, 2u, 4u, 8u}) {
-    cases.push_back({"central", true, engine::Scheduler::kCentralQueue, t});
-    cases.push_back({"stealing", true, engine::Scheduler::kWorkStealing, t});
-  }
+  std::vector<ExecCase> cases{{"sequential", false, 1}};
+  for (const unsigned t : {1u, 2u, 4u, 8u}) cases.push_back({"inner", true, t});
   return cases;
 }
 
@@ -100,7 +96,6 @@ engine::Config exec_config(const ExecCase& c) {
   cfg.split_depth = 3;
   cfg.inner_parallelism = c.inner;
   cfg.inter_parallelism = false;
-  cfg.scheduler = c.scheduler;
   cfg.queue_spin_iters = 1;
   cfg.pool_spin_iters = 1;
   return cfg;

@@ -11,7 +11,6 @@
 
 #include "paracosm/cl_deque.hpp"
 #include "paracosm/inner_executor.hpp"
-#include "paracosm/steal_executor.hpp"
 #include "paracosm/task_queue.hpp"
 #include "paracosm/worker_pool.hpp"
 #include "tests/test_support.hpp"
@@ -103,15 +102,15 @@ TEST(TaskQueue, SeedTryPopRetireSingleThread) {
   TaskQueue queue(1);
   queue.seed(make_task(2));
   queue.seed(make_task(3));
-  EXPECT_EQ(queue.approx_size(), 2u);
   EXPECT_EQ(queue.in_flight(), 2);
-  auto t1 = queue.try_pop();
+  auto t1 = queue.pop_or_finish(0);
   ASSERT_TRUE(t1.has_value());
-  EXPECT_EQ(t1->depth(), 2u);  // FIFO
+  EXPECT_EQ(t1->depth(), 3u);  // the owner pops its deque LIFO
   queue.retire();
+  EXPECT_EQ(queue.in_flight(), 1);
   auto t2 = queue.pop_or_finish(0);
   ASSERT_TRUE(t2.has_value());
-  EXPECT_EQ(t2->depth(), 3u);
+  EXPECT_EQ(t2->depth(), 2u);
   queue.retire();
   EXPECT_EQ(queue.in_flight(), 0);
   EXPECT_FALSE(queue.pop_or_finish(0).has_value());
@@ -119,8 +118,8 @@ TEST(TaskQueue, SeedTryPopRetireSingleThread) {
 
 TEST(TaskQueue, TryPopOnEmptyReturnsNullopt) {
   TaskQueue queue(4);
-  EXPECT_FALSE(queue.try_pop().has_value());
   EXPECT_FALSE(queue.pop_or_finish(2).has_value());
+  EXPECT_EQ(queue.in_flight(), 0);
 }
 
 TEST(TaskQueue, OwnerPushIsLifoForOwnerFifoForTryPop) {
@@ -164,52 +163,11 @@ TEST(TaskQueue, MpmcStressCompletesAllTasks) {
   for (auto& w : workers) w.join();
   EXPECT_EQ(executed.load(), kSeeds + kSeeds * kChildrenPerSeed);
   EXPECT_EQ(queue.in_flight(), 0);
-  EXPECT_EQ(queue.approx_size(), 0u);
 
   // Scheduler counters drained into WorkerStats.
   WorkerStats ws;
   for (unsigned w = 0; w < kWorkers; ++w) queue.export_counters(w, ws);
   EXPECT_GE(ws.steals_attempted, ws.steals_succeeded);
-}
-
-TEST(MutexTaskQueue, BaselineKeepsOldContract) {
-  MutexTaskQueue queue;
-  queue.push(make_task(2));
-  queue.push(make_task(3));
-  EXPECT_EQ(queue.approx_size(), 2u);
-  EXPECT_EQ(queue.in_flight(), 2);
-  auto t1 = queue.try_pop();
-  ASSERT_TRUE(t1.has_value());
-  EXPECT_EQ(t1->depth(), 2u);  // FIFO
-  queue.retire();
-  auto t2 = queue.pop_or_finish();
-  ASSERT_TRUE(t2.has_value());
-  queue.retire();
-  EXPECT_EQ(queue.in_flight(), 0);
-  EXPECT_FALSE(queue.pop_or_finish().has_value());
-}
-
-TEST(MutexTaskQueue, MpmcStressCompletesAllTasks) {
-  MutexTaskQueue queue;
-  constexpr int kSeeds = 64;
-  constexpr int kChildrenPerSeed = 16;
-  for (int i = 0; i < kSeeds; ++i) queue.push(make_task(1));
-
-  std::atomic<int> executed{0};
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([&] {
-      while (auto task = queue.pop_or_finish()) {
-        if (task->depth() == 1)
-          for (int c = 0; c < kChildrenPerSeed; ++c) queue.push(make_task(2));
-        executed.fetch_add(1, std::memory_order_relaxed);
-        queue.retire();
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(executed.load(), kSeeds + kSeeds * kChildrenPerSeed);
-  EXPECT_EQ(queue.in_flight(), 0);
 }
 
 TEST(WorkerPool, RunsJobOnEveryWorker) {
@@ -361,87 +319,52 @@ class InnerExecutorTest : public ::testing::TestWithParam<ExecCase> {};
 
 TEST_P(InnerExecutorTest, MatchesSequentialEnumeration) {
   const ExecCase& c = GetParam();
-  testing::SmallWorkload wl = testing::make_workload(321, 48, 140, 2, 1, 5, 0.0, 0.0);
-  auto alg = csm::make_algorithm("graphflow");
-  alg->attach(wl.query, wl.graph);
-
-  // Collect per-update seeds over a synthetic set of probe edges: use real
-  // stream updates applied to the graph.
-  util::Rng rng(5);
-  auto stream = graph::make_insert_stream(wl.graph, 0.25, rng);
   WorkerPool pool(c.threads);
   InnerExecutor executor(pool, c.split_depth, c.dynamic);
+  // Two workloads through one persistent executor: a GraphFlow tree and a
+  // Symbi one, whose DCS-driven fan-out splits differently.
+  const struct {
+    std::uint64_t workload_seed, stream_seed;
+    const char* algorithm;
+  } inputs[] = {{321, 5, "graphflow"}, {876, 9, "symbi"}};
+  for (const auto& in : inputs) {
+    SCOPED_TRACE(in.algorithm);
+    testing::SmallWorkload wl =
+        testing::make_workload(in.workload_seed, 48, 140, 2, 1, 5, 0.0, 0.0);
+    auto alg = csm::make_algorithm(in.algorithm);
+    alg->attach(wl.query, wl.graph);
 
-  for (const auto& upd : stream) {
-    ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
-    alg->on_edge_inserted(upd);
-    std::vector<csm::SearchTask> seeds;
-    alg->seeds(upd, seeds);
+    // Per-update seeds of real stream updates applied to the graph.
+    util::Rng rng(in.stream_seed);
+    auto stream = graph::make_insert_stream(wl.graph, 0.25, rng);
+    for (const auto& upd : stream) {
+      ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
+      alg->on_edge_inserted(upd);
+      std::vector<csm::SearchTask> seeds;
+      alg->seeds(upd, seeds);
 
-    csm::MatchSink seq;
-    for (const auto& task : seeds) alg->expand(task, seq, nullptr);
+      csm::MatchSink seq;
+      for (const auto& task : seeds) alg->expand(task, seq, nullptr);
 
-    const InnerRunResult par = executor.run(*alg, seeds);
-    EXPECT_EQ(par.matches, seq.matches);
-    EXPECT_FALSE(par.timed_out);
+      const InnerRunResult par = executor.run(*alg, seeds);
+      EXPECT_EQ(par.matches, seq.matches);
+      EXPECT_FALSE(par.timed_out);
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, InnerExecutorTest,
     ::testing::Values(ExecCase{1, 4, true}, ExecCase{2, 4, true},
-                      ExecCase{4, 0, true}, ExecCase{4, 2, true},
-                      ExecCase{4, 8, true}, ExecCase{8, 3, true},
-                      ExecCase{4, 4, false}, ExecCase{2, 0, false}),
+                      ExecCase{2, 0, true}, ExecCase{4, 0, true},
+                      ExecCase{4, 2, true}, ExecCase{4, 8, true},
+                      ExecCase{8, 3, true}, ExecCase{4, 4, false},
+                      ExecCase{2, 0, false}),
     [](const ::testing::TestParamInfo<ExecCase>& info) {
       return "t" + std::to_string(info.param.threads) + "_d" +
              std::to_string(info.param.split_depth) +
              (info.param.dynamic ? "_dyn" : "_static");
     });
-
-class StealingExecutorTest
-    : public ::testing::TestWithParam<std::pair<unsigned, std::uint32_t>> {};
-
-TEST_P(StealingExecutorTest, MatchesSequentialEnumeration) {
-  const auto& [threads, split_depth] = GetParam();
-  testing::SmallWorkload wl = testing::make_workload(876, 48, 140, 2, 1, 5, 0.0, 0.0);
-  auto alg = csm::make_algorithm("symbi");
-  alg->attach(wl.query, wl.graph);
-  util::Rng rng(9);
-  auto stream = graph::make_insert_stream(wl.graph, 0.25, rng);
-  WorkerPool pool(threads);
-  StealingExecutor executor(pool, split_depth);
-  for (const auto& upd : stream) {
-    ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
-    alg->on_edge_inserted(upd);
-    std::vector<csm::SearchTask> seeds;
-    alg->seeds(upd, seeds);
-    csm::MatchSink seq;
-    for (const auto& task : seeds) alg->expand(task, seq, nullptr);
-    const InnerRunResult par = executor.run(*alg, seeds);
-    EXPECT_EQ(par.matches, seq.matches);
-    EXPECT_FALSE(par.timed_out);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, StealingExecutorTest,
-                         ::testing::Values(std::pair{1u, 4u}, std::pair{2u, 0u},
-                                           std::pair{4u, 2u}, std::pair{4u, 8u},
-                                           std::pair{8u, 3u}),
-                         [](const auto& info) {
-                           return "t" + std::to_string(info.param.first) + "_d" +
-                                  std::to_string(info.param.second);
-                         });
-
-TEST(StealingExecutor, EmptySeedsAreANoOp) {
-  WorkerPool pool(2);
-  StealingExecutor executor(pool, 4);
-  auto alg = csm::make_algorithm("graphflow");
-  testing::SmallWorkload wl = testing::make_workload(2);
-  alg->attach(wl.query, wl.graph);
-  const InnerRunResult r = executor.run(*alg, {});
-  EXPECT_EQ(r.matches, 0u);
-}
 
 TEST(InnerExecutor, EmptySeedsAreANoOp) {
   WorkerPool pool(2);

@@ -14,7 +14,6 @@ namespace paracosm::testing {
 namespace {
 
 using engine::BatchMode;
-using engine::Scheduler;
 using engine::Config;
 using engine::ParaCosm;
 using engine::StreamResult;
@@ -280,24 +279,6 @@ TEST(ParaCosmVertexOps, VertexInsertAndCascadingRemove) {
   const auto out2 = pc.process(graph::GraphUpdate::insert_vertex(9000, 1));
   EXPECT_TRUE(out2.applied);
   EXPECT_TRUE(g.has_vertex(9000));
-}
-
-// The work-stealing scheduler must be a drop-in replacement: identical
-// stream totals for every algorithm.
-TEST(ParaCosmScheduler, WorkStealingMatchesSequential) {
-  SmallWorkload wl = make_workload(6060, 36, 90, 2, 1, 5);
-  for (const auto name : csm::algorithm_names()) {
-    const auto [pos, neg] = sequential_totals(std::string(name), wl);
-    auto alg = csm::make_algorithm(name);
-    Config cfg;
-    cfg.threads = 4;
-    cfg.scheduler = Scheduler::kWorkStealing;
-    graph::DataGraph g = wl.graph;
-    ParaCosm pc(*alg, wl.query, g, cfg);
-    const StreamResult r = pc.process_stream(wl.stream);
-    EXPECT_EQ(r.positive, pos) << name;
-    EXPECT_EQ(r.negative, neg) << name;
-  }
 }
 
 // Paper-faithful batch mode: on these deterministic workloads (where the

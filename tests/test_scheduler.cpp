@@ -2,7 +2,7 @@
 // observably identical to sequential enumeration. For every update we
 // collect the FULL match set (not just the count) through the match
 // callback and require the delivered streams to be byte-identical across
-//   sequential  ×  inner-dynamic  ×  inner-static  ×  work-stealing
+//   sequential  ×  dynamic (flat / topology-ordered victims)  ×  static
 // at 1/2/4/8 threads — exercising the deterministic per-worker-buffer merge
 // (match_buffer.hpp) and the Chase–Lev termination protocol under real
 // search trees. Degenerate shapes (empty tree, single seed) are covered
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "paracosm/inner_executor.hpp"
-#include "paracosm/steal_executor.hpp"
 #include "paracosm/worker_pool.hpp"
 #include "tests/test_support.hpp"
 
@@ -78,10 +77,9 @@ TEST_P(SchedulerTortureTest, AllExecutorsDeliverIdenticalMatchSets) {
   const QueueKnobs knobs{.spin_iters = 8};
   struct Rig {
     std::unique_ptr<WorkerPool> pool;
-    std::unique_ptr<InnerExecutor> inner_dyn;
-    std::unique_ptr<InnerExecutor> inner_static;
-    std::unique_ptr<StealingExecutor> stealing;
-    std::unique_ptr<StealingExecutor> stealing_topo;  ///< topology-ordered sweep
+    std::unique_ptr<InnerExecutor> dynamic;       ///< flat victim sweep
+    std::unique_ptr<InnerExecutor> dynamic_topo;  ///< topology-ordered sweep
+    std::unique_ptr<InnerExecutor> fixed;         ///< static partition
   };
   // Policy-only emulated 2-node topology (never pins): the topology-aware
   // victim order must deliver the exact same byte-identical match stream as
@@ -95,17 +93,15 @@ TEST_P(SchedulerTortureTest, AllExecutorsDeliverIdenticalMatchSets) {
     popts.spin_iters = 8;
     popts.topology = &topo;
     rig.pool = std::make_unique<WorkerPool>(threads, popts);
-    rig.inner_dyn = std::make_unique<InnerExecutor>(*rig.pool, tc.split_depth,
-                                                    /*dynamic=*/true, knobs);
-    rig.inner_static = std::make_unique<InnerExecutor>(*rig.pool, tc.split_depth,
-                                                       /*dynamic=*/false, knobs);
-    rig.stealing =
-        std::make_unique<StealingExecutor>(*rig.pool, tc.split_depth, knobs);
+    rig.dynamic = std::make_unique<InnerExecutor>(*rig.pool, tc.split_depth,
+                                                  /*dynamic=*/true, knobs);
     QueueKnobs topo_knobs = knobs;
     topo_knobs.victims = &rig.pool->victim_table();
     topo_knobs.topo_order = true;
-    rig.stealing_topo =
-        std::make_unique<StealingExecutor>(*rig.pool, tc.split_depth, topo_knobs);
+    rig.dynamic_topo = std::make_unique<InnerExecutor>(
+        *rig.pool, tc.split_depth, /*dynamic=*/true, topo_knobs);
+    rig.fixed = std::make_unique<InnerExecutor>(*rig.pool, tc.split_depth,
+                                                /*dynamic=*/false, knobs);
     rigs.push_back(std::move(rig));
   }
 
@@ -120,33 +116,27 @@ TEST_P(SchedulerTortureTest, AllExecutorsDeliverIdenticalMatchSets) {
       const unsigned threads = rig.pool->size();
       {
         Collector got;
-        const InnerRunResult r = rig.inner_dyn->run(*alg, seeds, {}, &got.fn);
-        EXPECT_EQ(got.matches, expected) << "inner-dynamic t" << threads;
-        EXPECT_EQ(r.matches, expected.size()) << "inner-dynamic t" << threads;
+        const InnerRunResult r = rig.dynamic->run(*alg, seeds, {}, &got.fn);
+        EXPECT_EQ(got.matches, expected) << "dynamic t" << threads;
+        EXPECT_EQ(r.matches, expected.size()) << "dynamic t" << threads;
       }
       {
         Collector got;
-        const InnerRunResult r = rig.inner_static->run(*alg, seeds, {}, &got.fn);
-        EXPECT_EQ(got.matches, expected) << "inner-static t" << threads;
-        EXPECT_EQ(r.matches, expected.size()) << "inner-static t" << threads;
-      }
-      {
-        Collector got;
-        const InnerRunResult r = rig.stealing->run(*alg, seeds, {}, &got.fn);
-        EXPECT_EQ(got.matches, expected) << "stealing t" << threads;
-        EXPECT_EQ(r.matches, expected.size()) << "stealing t" << threads;
-      }
-      {
-        Collector got;
-        const InnerRunResult r = rig.stealing_topo->run(*alg, seeds, {}, &got.fn);
-        EXPECT_EQ(got.matches, expected) << "stealing-topo t" << threads;
-        EXPECT_EQ(r.matches, expected.size()) << "stealing-topo t" << threads;
+        const InnerRunResult r = rig.dynamic_topo->run(*alg, seeds, {}, &got.fn);
+        EXPECT_EQ(got.matches, expected) << "dynamic-topo t" << threads;
+        EXPECT_EQ(r.matches, expected.size()) << "dynamic-topo t" << threads;
         // Per-distance counters partition successful steals.
         const ParallelStats& st = r.stats;
         EXPECT_EQ(st.total_steals_local() + st.total_steals_same_node() +
                       st.total_steals_remote(),
                   st.total_steals_succeeded())
-            << "stealing-topo t" << threads;
+            << "dynamic-topo t" << threads;
+      }
+      {
+        Collector got;
+        const InnerRunResult r = rig.fixed->run(*alg, seeds, {}, &got.fn);
+        EXPECT_EQ(got.matches, expected) << "static t" << threads;
+        EXPECT_EQ(r.matches, expected.size()) << "static t" << threads;
       }
     }
   }
@@ -170,12 +160,12 @@ TEST(SchedulerTorture, EmptyTreeIsANoOpOnEveryExecutor) {
   alg->attach(wl.query, wl.graph);
   for (unsigned threads : {1u, 4u, 8u}) {
     WorkerPool pool(threads, 8);
-    InnerExecutor inner(pool, 4, true, QueueKnobs{.spin_iters = 8});
-    StealingExecutor stealing(pool, 4, QueueKnobs{.spin_iters = 8});
-    Collector got;
-    EXPECT_EQ(inner.run(*alg, {}, {}, &got.fn).matches, 0u);
-    EXPECT_EQ(stealing.run(*alg, {}, {}, &got.fn).matches, 0u);
-    EXPECT_TRUE(got.matches.empty());
+    for (const bool dynamic : {true, false}) {
+      InnerExecutor inner(pool, 4, dynamic, QueueKnobs{.spin_iters = 8});
+      Collector got;
+      EXPECT_EQ(inner.run(*alg, {}, {}, &got.fn).matches, 0u);
+      EXPECT_TRUE(got.matches.empty());
+    }
   }
 }
 
@@ -187,7 +177,6 @@ TEST(SchedulerTorture, SingleSeedMatchesSequential) {
   auto stream = graph::make_insert_stream(wl.graph, 0.2, rng);
   WorkerPool pool(8, 8);
   InnerExecutor inner(pool, 4, true, QueueKnobs{.spin_iters = 8});
-  StealingExecutor stealing(pool, 4, QueueKnobs{.spin_iters = 8});
   for (const auto& upd : stream) {
     ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
     alg->on_edge_inserted(upd);
@@ -196,11 +185,9 @@ TEST(SchedulerTorture, SingleSeedMatchesSequential) {
     if (seeds.empty()) continue;
     seeds.resize(1);  // a one-seed tree: everything hinges on splitting
     const MatchSet expected = sequential_reference(*alg, seeds);
-    Collector a, b;
-    EXPECT_EQ(inner.run(*alg, seeds, {}, &a.fn).matches, expected.size());
-    EXPECT_EQ(stealing.run(*alg, seeds, {}, &b.fn).matches, expected.size());
-    EXPECT_EQ(a.matches, expected);
-    EXPECT_EQ(b.matches, expected);
+    Collector got;
+    EXPECT_EQ(inner.run(*alg, seeds, {}, &got.fn).matches, expected.size());
+    EXPECT_EQ(got.matches, expected);
   }
 }
 
@@ -213,7 +200,7 @@ TEST(SchedulerTorture, PersistentQueueIsCleanAcrossRuns) {
   util::Rng rng(4);
   auto stream = graph::make_insert_stream(wl.graph, 0.3, rng);
   WorkerPool pool(4, 8);
-  StealingExecutor stealing(pool, 3, QueueKnobs{.spin_iters = 8});
+  InnerExecutor inner(pool, 3, true, QueueKnobs{.spin_iters = 8});
   for (const auto& upd : stream) {
     ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
     alg->on_edge_inserted(upd);
@@ -222,7 +209,7 @@ TEST(SchedulerTorture, PersistentQueueIsCleanAcrossRuns) {
     const MatchSet expected = sequential_reference(*alg, seeds);
     for (int rep = 0; rep < 3; ++rep) {
       Collector got;
-      const InnerRunResult r = stealing.run(*alg, seeds, {}, &got.fn);
+      const InnerRunResult r = inner.run(*alg, seeds, {}, &got.fn);
       ASSERT_EQ(r.matches, expected.size()) << "rep " << rep;
       ASSERT_EQ(got.matches, expected) << "rep " << rep;
     }

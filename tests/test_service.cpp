@@ -216,15 +216,33 @@ TEST(Wal, MissingFileReadsEmpty) {
 
 TEST(Snapshot, RoundtripPreservesGraphAndMeta) {
   testing::SmallWorkload wl = testing::make_workload(/*seed=*/5);
-  const std::string path = tmp_path("snap.graph");
-  service::write_snapshot(path, wl.graph, {17, 0xabcdef12345ULL, "symbi"});
+  // The highest id removed: its slot outlives it, but the body lists live
+  // vertices only, so the capacity must come from the header.
+  graph::DataGraph top_removed = wl.graph;
+  top_removed.remove_vertex(top_removed.vertex_capacity() - 1);
+  ASSERT_EQ(top_removed.vertex_capacity(), wl.graph.vertex_capacity());
 
-  const auto snap = service::read_snapshot(path);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->meta.seq, 17u);
-  EXPECT_EQ(snap->meta.ads_checksum, 0xabcdef12345ULL);
-  EXPECT_EQ(snap->meta.algorithm, "symbi");
-  EXPECT_TRUE(snap->graph.same_structure(wl.graph));
+  const std::string path = tmp_path("snap.graph");
+  for (const graph::DataGraph* g : {&wl.graph, &top_removed}) {
+    service::write_snapshot(path, *g, {17, 0xabcdef12345ULL, "symbi"});
+    const auto snap = service::read_snapshot(path);
+    ASSERT_TRUE(snap.has_value());
+    EXPECT_EQ(snap->meta.seq, 17u);
+    EXPECT_EQ(snap->meta.ads_checksum, 0xabcdef12345ULL);
+    EXPECT_EQ(snap->meta.algorithm, "symbi");
+    EXPECT_EQ(snap->graph.vertex_capacity(), g->vertex_capacity());
+    EXPECT_TRUE(snap->graph.same_structure(*g));
+  }
+
+  // A header without the slot count (older snapshots) still loads.
+  {
+    std::ofstream f(path, std::ios::trunc);
+    f << "# paracosm-snapshot 1 seq=3 ads=ff alg=x\n";
+    graph::save_data_graph(wl.graph, f);
+  }
+  const auto old = service::read_snapshot(path);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_TRUE(old->graph.same_structure(wl.graph));
 }
 
 TEST(Snapshot, RejectsCorruptHeaderOrBody) {
@@ -239,6 +257,15 @@ TEST(Snapshot, RejectsCorruptHeaderOrBody) {
     f << "# paracosm-snapshot 1 seq=3 ads=ff alg=x\nv 0 banana\n";
   }
   EXPECT_FALSE(service::read_snapshot(path).has_value());
+  // A slot count that is not a number, or fewer slots than the body's ids.
+  for (const char* slots : {"banana", "1"}) {
+    {
+      std::ofstream f(path, std::ios::trunc);
+      f << "# paracosm-snapshot 1 seq=3 ads=ff alg=x slots=" << slots
+        << "\nv 0 0\nv 1 0\n";
+    }
+    EXPECT_FALSE(service::read_snapshot(path).has_value()) << slots;
+  }
   EXPECT_FALSE(service::read_snapshot(tmp_path("nosnap.graph")).has_value());
 }
 

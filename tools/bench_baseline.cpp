@@ -169,7 +169,7 @@ std::vector<MacroResult> run_macro(double scale, std::uint32_t queries,
 }
 
 /// Runtime counters of the lock-free scheduler, collected from one parallel
-/// work-stealing run at 8 threads over the same workload. Archived alongside
+/// run at 8 threads over the same workload. Archived alongside
 /// the micro numbers so contention regressions (steal success collapsing,
 /// park storms, lopsided batch shards) show up as artifact diffs.
 struct SchedulerResult {
@@ -200,7 +200,6 @@ SchedulerResult run_scheduler(double scale, std::int64_t stream_cap,
   graph::DataGraph g = wl.graph;
   engine::Config cfg;
   cfg.threads = 8;
-  cfg.scheduler = engine::Scheduler::kWorkStealing;
   cfg.batch_backend = backend;
   engine::ParaCosm pc(*alg, wl.queries.front(), g, cfg);
   const engine::StreamResult r = pc.process_stream(wl.stream);
