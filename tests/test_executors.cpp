@@ -7,6 +7,7 @@
 #include <chrono>
 #include <filesystem>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "paracosm/cl_deque.hpp"
@@ -319,52 +320,104 @@ class InnerExecutorTest : public ::testing::TestWithParam<ExecCase> {};
 
 TEST_P(InnerExecutorTest, MatchesSequentialEnumeration) {
   const ExecCase& c = GetParam();
+  testing::SmallWorkload wl = testing::make_workload(321, 48, 140, 2, 1, 5, 0.0, 0.0);
+  auto alg = csm::make_algorithm("graphflow");
+  alg->attach(wl.query, wl.graph);
+
+  // Collect per-update seeds over a synthetic set of probe edges: use real
+  // stream updates applied to the graph.
+  util::Rng rng(5);
+  auto stream = graph::make_insert_stream(wl.graph, 0.25, rng);
   WorkerPool pool(c.threads);
   InnerExecutor executor(pool, c.split_depth, c.dynamic);
-  // Two workloads through one persistent executor: a GraphFlow tree and a
-  // Symbi one, whose DCS-driven fan-out splits differently.
-  const struct {
-    std::uint64_t workload_seed, stream_seed;
-    const char* algorithm;
-  } inputs[] = {{321, 5, "graphflow"}, {876, 9, "symbi"}};
-  for (const auto& in : inputs) {
-    SCOPED_TRACE(in.algorithm);
-    testing::SmallWorkload wl =
-        testing::make_workload(in.workload_seed, 48, 140, 2, 1, 5, 0.0, 0.0);
-    auto alg = csm::make_algorithm(in.algorithm);
-    alg->attach(wl.query, wl.graph);
 
-    // Per-update seeds of real stream updates applied to the graph.
-    util::Rng rng(in.stream_seed);
-    auto stream = graph::make_insert_stream(wl.graph, 0.25, rng);
-    for (const auto& upd : stream) {
-      ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
-      alg->on_edge_inserted(upd);
-      std::vector<csm::SearchTask> seeds;
-      alg->seeds(upd, seeds);
+  for (const auto& upd : stream) {
+    ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
+    alg->on_edge_inserted(upd);
+    std::vector<csm::SearchTask> seeds;
+    alg->seeds(upd, seeds);
 
-      csm::MatchSink seq;
-      for (const auto& task : seeds) alg->expand(task, seq, nullptr);
+    csm::MatchSink seq;
+    for (const auto& task : seeds) alg->expand(task, seq, nullptr);
 
-      const InnerRunResult par = executor.run(*alg, seeds);
-      EXPECT_EQ(par.matches, seq.matches);
-      EXPECT_FALSE(par.timed_out);
-    }
+    const InnerRunResult par = executor.run(*alg, seeds);
+    EXPECT_EQ(par.matches, seq.matches);
+    EXPECT_FALSE(par.timed_out);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, InnerExecutorTest,
     ::testing::Values(ExecCase{1, 4, true}, ExecCase{2, 4, true},
-                      ExecCase{2, 0, true}, ExecCase{4, 0, true},
-                      ExecCase{4, 2, true}, ExecCase{4, 8, true},
-                      ExecCase{8, 3, true}, ExecCase{4, 4, false},
-                      ExecCase{2, 0, false}),
+                      ExecCase{4, 0, true}, ExecCase{4, 2, true},
+                      ExecCase{4, 8, true}, ExecCase{8, 3, true},
+                      ExecCase{4, 4, false}, ExecCase{2, 0, false}),
     [](const ::testing::TestParamInfo<ExecCase>& info) {
       return "t" + std::to_string(info.param.threads) + "_d" +
              std::to_string(info.param.split_depth) +
              (info.param.dynamic ? "_dyn" : "_static");
     });
+
+/// The work-stealing (dynamic) path of InnerExecutor on Symbi, whose
+/// DCS-driven fan-out splits differently from GraphFlow's.
+class StealingExecutorTest
+    : public ::testing::TestWithParam<std::pair<unsigned, std::uint32_t>> {};
+
+TEST_P(StealingExecutorTest, MatchesSequentialEnumeration) {
+  const auto& [threads, split_depth] = GetParam();
+  testing::SmallWorkload wl = testing::make_workload(876, 48, 140, 2, 1, 5, 0.0, 0.0);
+  auto alg = csm::make_algorithm("symbi");
+  alg->attach(wl.query, wl.graph);
+  util::Rng rng(9);
+  auto stream = graph::make_insert_stream(wl.graph, 0.25, rng);
+  WorkerPool pool(threads);
+  InnerExecutor executor(pool, split_depth, /*dynamic_balance=*/true);
+  for (const auto& upd : stream) {
+    ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
+    alg->on_edge_inserted(upd);
+    std::vector<csm::SearchTask> seeds;
+    alg->seeds(upd, seeds);
+    csm::MatchSink seq;
+    for (const auto& task : seeds) alg->expand(task, seq, nullptr);
+    const InnerRunResult par = executor.run(*alg, seeds);
+    EXPECT_EQ(par.matches, seq.matches);
+    EXPECT_FALSE(par.timed_out);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, StealingExecutorTest,
+                         ::testing::Values(std::pair{1u, 4u}, std::pair{2u, 0u},
+                                           std::pair{4u, 2u}, std::pair{4u, 8u},
+                                           std::pair{8u, 3u}),
+                         [](const auto& info) {
+                           return "t" + std::to_string(info.param.first) + "_d" +
+                                  std::to_string(info.param.second);
+                         });
+
+/// An empty run on the stealing path leaves the deques empty: no worker
+/// serves a task, and the next run on the same executor still matches.
+TEST(StealingExecutor, EmptySeedsAreANoOp) {
+  testing::SmallWorkload wl = testing::make_workload(2);
+  auto alg = csm::make_algorithm("graphflow");
+  alg->attach(wl.query, wl.graph);
+  WorkerPool pool(2);
+  InnerExecutor executor(pool, 4, /*dynamic_balance=*/true);
+  const InnerRunResult r = executor.run(*alg, {});
+  EXPECT_EQ(r.matches, 0u);
+  for (const auto& w : r.stats.workers) EXPECT_EQ(w.tasks, 0u);
+
+  util::Rng rng(3);
+  auto stream = graph::make_insert_stream(wl.graph, 0.25, rng);
+  for (const auto& upd : stream) {
+    ASSERT_TRUE(wl.graph.add_edge(upd.u, upd.v, upd.label));
+    alg->on_edge_inserted(upd);
+    std::vector<csm::SearchTask> seeds;
+    alg->seeds(upd, seeds);
+    csm::MatchSink seq;
+    for (const auto& task : seeds) alg->expand(task, seq, nullptr);
+    EXPECT_EQ(executor.run(*alg, seeds).matches, seq.matches);
+  }
+}
 
 TEST(InnerExecutor, EmptySeedsAreANoOp) {
   WorkerPool pool(2);
