@@ -10,7 +10,7 @@
 #include "bench_common/runner.hpp"
 #include "bench_common/workload.hpp"
 #include "util/cli.hpp"
-#include "util/hw_topo.hpp"
+#include "util/affinity.hpp"
 
 namespace paracosm::bench {
 

@@ -5,7 +5,6 @@
 
 #include "csm/filters.hpp"
 #include "util/checksum.hpp"
-#include "util/numa_alloc.hpp"
 #include "util/wide_ops.hpp"
 
 namespace paracosm::csm {
@@ -184,15 +183,6 @@ bool DagCandidateIndex::safe_edge(VertexId v1, VertexId v2, Label elabel,
   return true;
 }
 
-void DagCandidateIndex::place_columns(VertexId u) noexcept {
-  util::numa::place_shared(anc_[u].data(), anc_[u].size());
-  util::numa::place_shared(desc_[u].data(), desc_[u].size());
-  util::numa::place_shared(cnt_anc_[u].data(),
-                           cnt_anc_[u].size() * sizeof(std::uint32_t));
-  util::numa::place_shared(cnt_desc_[u].data(),
-                           cnt_desc_[u].size() * sizeof(std::uint32_t));
-}
-
 void DagCandidateIndex::build(const QueryGraph& q, const DataGraph& g,
                               bool spanning_tree_only, bool use_edge_labels) {
   q_ = &q;
@@ -214,7 +204,6 @@ void DagCandidateIndex::build(const QueryGraph& q, const DataGraph& g,
     desc_[u].assign(util::wide::padded_bytes(cap_), 0);
     cnt_anc_[u].assign(static_cast<std::size_t>(cap_) * dag_.parents[u].size(), 0);
     cnt_desc_[u].assign(static_cast<std::size_t>(cap_) * dag_.children[u].size(), 0);
-    place_columns(u);
   }
 
   // anc: ascending topological order. Once u's column is final, push its
@@ -263,7 +252,6 @@ void DagCandidateIndex::on_vertex_added(VertexId id) {
       desc_[u].resize(util::wide::padded_bytes(cap_), 0);
       cnt_anc_[u].resize(static_cast<std::size_t>(cap_) * dag_.parents[u].size(), 0);
       cnt_desc_[u].resize(static_cast<std::size_t>(cap_) * dag_.children[u].size(), 0);
-      place_columns(u);
     }
   }
   // A fresh vertex is isolated, so flag initialization cannot propagate.

@@ -141,10 +141,6 @@ class DagCandidateIndex {
   bool set_anc(VertexId u, VertexId v, bool on) noexcept;
   bool set_desc(VertexId u, VertexId v, bool on) noexcept;
 
-  /// NUMA/hugepage placement advice for query vertex u's candidate columns
-  /// (read by every worker during search). Best-effort, DESIGN.md §10.
-  void place_columns(VertexId u) noexcept;
-
   [[nodiscard]] bool stat(VertexId u, VertexId v) const noexcept;
   [[nodiscard]] bool eval_anc(VertexId u, VertexId v) const noexcept;
   [[nodiscard]] bool eval_desc(VertexId u, VertexId v) const noexcept;

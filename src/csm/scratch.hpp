@@ -19,7 +19,6 @@
 
 #include "csm/match.hpp"
 #include "graph/types.hpp"
-#include "util/numa_alloc.hpp"
 
 namespace paracosm::csm {
 
@@ -31,12 +30,7 @@ class SearchScratch {
   void prepare(std::uint32_t num_query_vertices, std::uint32_t data_capacity) {
     map.assign(num_query_vertices, graph::kInvalidVertex);
     assigned.clear();
-    if (stamp_.size() < data_capacity) {
-      stamp_.resize(data_capacity, 0);
-      // Worker-private block: hugepage advice only; first-touch by this
-      // (pinned) thread already placed it locally (DESIGN.md §10).
-      util::numa::place_local(stamp_.data(), stamp_.size() * sizeof(std::uint32_t));
-    }
+    if (stamp_.size() < data_capacity) stamp_.resize(data_capacity, 0);
     if (++epoch_ == 0) {  // wrap: invalidate stale stamps from 2^32 tasks ago
       std::fill(stamp_.begin(), stamp_.end(), 0);
       epoch_ = 1;

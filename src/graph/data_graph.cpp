@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "util/numa_alloc.hpp"
 
 namespace paracosm::graph {
 
@@ -60,13 +59,6 @@ VertexId DataGraph::add_vertex(Label label) {
 void DataGraph::reserve_vertex_slots(std::uint32_t n) {
   if (n <= vertices_.size()) return;
   vertices_.resize(n);
-  // Vertex table: read by every worker during enumeration. Interleave +
-  // hugepage advice once per capacity jump (best-effort, DESIGN.md §10).
-  if (vertices_.capacity() != numa_advised_cap_) {
-    util::numa::place_shared(vertices_.data(),
-                             vertices_.capacity() * sizeof(VertexRec));
-    numa_advised_cap_ = vertices_.capacity();
-  }
 }
 
 void DataGraph::add_vertex_with_id(VertexId id, Label label) {

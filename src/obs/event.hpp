@@ -32,8 +32,7 @@ enum class EventKind : std::uint32_t {
 
   // Inner-update runtime (per task).
   kTaskExpand,   ///< span: one search task expanded by a worker; args depth
-  kSteal,        ///< instant: successful Chase-Lev steal; args victim, thief,
-                 ///< distance (0 SMT-local / 1 same-node / 2 remote)
+  kSteal,        ///< instant: successful Chase-Lev steal; args victim, thief
   kResplit,      ///< instant: a subtree re-split onto the queue; args depth
 
   // Backtracking search (level 2: per search-tree node).
@@ -152,7 +151,7 @@ inline constexpr std::uint32_t kEventKindCount =
     case EventKind::kSafeApply: return {"u", "v", nullptr};
     case EventKind::kBatchBackend: return {"backend", "lanes", "wide_resolved"};
     case EventKind::kTaskExpand: return {"depth", nullptr, nullptr};
-    case EventKind::kSteal: return {"victim", "thief", "distance"};
+    case EventKind::kSteal: return {"victim", "thief", nullptr};
     case EventKind::kResplit: return {"depth", nullptr, nullptr};
     case EventKind::kBacktrackEnter: return {"depth", nullptr, nullptr};
     case EventKind::kPrune: return {"depth", nullptr, nullptr};

@@ -36,7 +36,7 @@ void BatchBackend::apply_safe_prefix(std::span<const GraphUpdate> prefix,
   if (b_.pool->worth_forking(prefix.size())) {
     const unsigned nthreads = b_.pool->size();
     stats.ensure_size(nthreads);
-    ShardedCursor cursor(prefix.size(), nthreads, b_.pool->node_map());
+    ShardedCursor cursor(prefix.size(), nthreads);
     b_.pool->run([&](unsigned wid) {
       util::ThreadCpuTimer timer;
       std::uint64_t applied = 0;

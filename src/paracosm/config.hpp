@@ -5,7 +5,7 @@
 #include <optional>
 #include <string_view>
 
-#include "util/hw_topo.hpp"
+#include "util/affinity.hpp"
 #include "util/wide_ops.hpp"
 
 namespace paracosm::engine {
@@ -98,16 +98,12 @@ struct Config {
   /// syscall-free; smaller values release the core sooner.
   std::uint32_t pool_spin_iters = 1024;
 
-  /// Topology-aware runtime knobs (DESIGN.md §10).
-  /// Pin each pool helper to its assigned CPU (the caller, worker 0, is
-  /// never pinned). Only takes effect when the topology came from a real
-  /// sysfs tree — emulated/flat topologies carry CPU ids that may not
-  /// exist, so pinning is skipped for them.
+  /// Nothing reads this. It stays because the wall-clock benchmark's replay
+  /// reads it, and goes with the next change to that benchmark.
   bool pin_threads = false;
 
-  /// Order steal victims by topology distance (SMT sibling → same node →
-  /// remote, with bounded remote back-off). OFF reproduces the PR-2 flat
-  /// randomized sweep — the ablation baseline.
+  /// Nothing reads this either; it goes with `pin_threads`, for the same
+  /// reason.
   bool topo_aware_steal = true;
 
   /// Batch classifier backend (DESIGN.md §11). Every backend produces

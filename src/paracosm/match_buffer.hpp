@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "csm/match.hpp"
-#include "util/numa_alloc.hpp"
 
 namespace paracosm::engine {
 
@@ -32,13 +31,7 @@ struct alignas(64) MatchBuffer {
   std::vector<std::uint64_t> ends;    ///< end offset of each mapping in flat
 
   void append(std::span<const csm::Assignment> mapping) {
-    const std::size_t cap = flat.capacity();
     flat.insert(flat.end(), mapping.begin(), mapping.end());
-    // Worker-private sink: on a reallocation of an already-large log, ask
-    // for hugepages; first-touch by this (pinned) worker keeps it local.
-    if (flat.capacity() != cap)
-      util::numa::place_local(flat.data(),
-                              flat.capacity() * sizeof(csm::Assignment));
     ends.push_back(static_cast<std::uint64_t>(flat.size()));
   }
 

@@ -25,34 +25,12 @@ namespace {
 // ---------------------------------------------------------------------------
 // Registration
 
-namespace {
-
-// Same wiring as ParaCosm's ctor: the pool member precedes the executor, so
-// the victim table pointer stays valid for the queue's lifetime.
-[[nodiscard]] PoolOptions mq_pool_options(const Config& config) {
-  PoolOptions o;
-  o.spin_iters = config.pool_spin_iters;
-  o.pin = config.pin_threads;
-  return o;
-}
-
-[[nodiscard]] QueueKnobs mq_queue_knobs(const Config& config,
-                                        const WorkerPool& pool) {
-  QueueKnobs k;
-  k.spin_iters = config.queue_spin_iters;
-  k.victims = &pool.victim_table();
-  k.topo_order = config.topo_aware_steal;
-  return k;
-}
-
-}  // namespace
-
 MultiQueryEngine::MultiQueryEngine(graph::DataGraph& g, Config config)
     : g_(g),
       config_(config),
-      pool_(config.effective_threads(), mq_pool_options(config)),
+      pool_(config.effective_threads(), config.pool_spin_iters),
       inner_(pool_, config.split_depth, config.dynamic_balance,
-             mq_queue_knobs(config, pool_)) {}
+             QueueKnobs{.spin_iters = config.queue_spin_iters}) {}
 
 std::size_t MultiQueryEngine::acquire_group(const graph::QueryGraph& q,
                                             const bool ignore_edge_labels) {
@@ -570,7 +548,7 @@ MultiStreamResult MultiQueryEngine::process_stream(
     }
     if (prefix > 0) {
       if (pool_.worth_forking(prefix)) {
-        ShardedCursor cursor(prefix, nthreads, pool_.node_map());
+        ShardedCursor cursor(prefix, nthreads);
         pool_.run([&](unsigned wid) {
           util::ThreadCpuTimer timer;
           std::uint64_t applied = 0;

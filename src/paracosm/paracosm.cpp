@@ -10,36 +10,15 @@ namespace paracosm::engine {
 using graph::GraphUpdate;
 using graph::UpdateOp;
 
-namespace {
-
-[[nodiscard]] PoolOptions pool_options(const Config& config) {
-  PoolOptions o;
-  o.spin_iters = config.pool_spin_iters;
-  o.pin = config.pin_threads;
-  return o;
-}
-
-// The pool member precedes the executors, so its victim table is valid in
-// their initializers and outlives both queues.
-[[nodiscard]] QueueKnobs queue_knobs(const Config& config, const WorkerPool& pool) {
-  QueueKnobs k;
-  k.spin_iters = config.queue_spin_iters;
-  k.victims = &pool.victim_table();
-  k.topo_order = config.topo_aware_steal;
-  return k;
-}
-
-}  // namespace
-
 ParaCosm::ParaCosm(csm::CsmAlgorithm& alg, const graph::QueryGraph& q,
                    graph::DataGraph& g, Config config)
     : alg_(alg),
       q_(q),
       g_(g),
       config_(config),
-      pool_(config.effective_threads(), pool_options(config)),
+      pool_(config.effective_threads(), config.pool_spin_iters),
       inner_(pool_, config.split_depth, config.dynamic_balance,
-             queue_knobs(config, pool_)),
+             QueueKnobs{.spin_iters = config.queue_spin_iters}),
       classifier_(q, g, alg) {
   alg_.attach(q_, g_);
   // Both batch backends are constructed up front (the wide bind is a few

@@ -22,11 +22,6 @@ struct WorkerStats {
   // Scheduler counters (the low-contention runtime, DESIGN.md §5).
   std::uint64_t steals_attempted = 0;  ///< steal_top calls on other deques
   std::uint64_t steals_succeeded = 0;  ///< CAS-claimed tasks
-  // Successful steals by victim distance (DESIGN.md §10). Always sums to
-  // steals_succeeded; on a flat topology everything lands in same_node.
-  std::uint64_t steals_local = 0;      ///< victim on the same core (SMT sibling)
-  std::uint64_t steals_same_node = 0;  ///< victim on the same NUMA node
-  std::uint64_t steals_remote = 0;     ///< victim on another node
   std::uint64_t offloads = 0;          ///< tasks re-split onto the queue
   std::uint64_t parks = 0;             ///< spin budget exhausted -> parked
   std::uint64_t shard_updates = 0;     ///< safe updates applied by this worker
@@ -39,9 +34,6 @@ struct WorkerStats {
     matches += other.matches;
     steals_attempted += other.steals_attempted;
     steals_succeeded += other.steals_succeeded;
-    steals_local += other.steals_local;
-    steals_same_node += other.steals_same_node;
-    steals_remote += other.steals_remote;
     offloads += other.offloads;
     parks += other.parks;
     shard_updates += other.shard_updates;
@@ -78,28 +70,6 @@ struct ParallelStats {
     std::uint64_t s = 0;
     for (const WorkerStats& w : workers) s += w.steals_succeeded;
     return s;
-  }
-  [[nodiscard]] std::uint64_t total_steals_local() const noexcept {
-    std::uint64_t s = 0;
-    for (const WorkerStats& w : workers) s += w.steals_local;
-    return s;
-  }
-  [[nodiscard]] std::uint64_t total_steals_same_node() const noexcept {
-    std::uint64_t s = 0;
-    for (const WorkerStats& w : workers) s += w.steals_same_node;
-    return s;
-  }
-  [[nodiscard]] std::uint64_t total_steals_remote() const noexcept {
-    std::uint64_t s = 0;
-    for (const WorkerStats& w : workers) s += w.steals_remote;
-    return s;
-  }
-  /// Remote share of successful steals — the ablation's headline metric.
-  [[nodiscard]] double remote_steal_share() const noexcept {
-    const std::uint64_t total = total_steals_succeeded();
-    return total == 0 ? 0.0
-                      : static_cast<double>(total_steals_remote()) /
-                            static_cast<double>(total);
   }
   [[nodiscard]] std::uint64_t total_offloads() const noexcept {
     std::uint64_t s = 0;

@@ -24,7 +24,6 @@
 //     per worker, `retire()` from the worker that finished the task.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -37,11 +36,12 @@
 #include "obs/trace_ring.hpp"
 #include "paracosm/cl_deque.hpp"
 #include "paracosm/stats.hpp"
-#include "util/hw_topo.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
 
 namespace paracosm::engine {
+
+struct UnusedVictimTable;  // worker_pool.hpp
 
 /// Tuning knobs for the idle protocol (config.hpp wires them from Config).
 struct QueueKnobs {
@@ -50,55 +50,19 @@ struct QueueKnobs {
   /// and every push wakes one of them.
   std::uint32_t spin_iters = 256;
 
-  // --- topology-aware stealing (DESIGN.md §10) -----------------------------
-  // New fields are appended so existing QueueKnobs{spin} initializers keep
-  // their meaning.
+  /// Nothing reads this. It stays because the wall-clock benchmark's replay
+  /// sets it, and goes with the next change to that benchmark.
+  const UnusedVictimTable* victims = nullptr;
 
-  /// Remote probing is a *cadence*, not a default: an idle worker includes
-  /// the remote tier only every `remote_probe_period`-th sweep, probing its
-  /// own node's victims on every other one. This is what biases the race
-  /// for a freshly split task toward same-node thieves — sweep order alone
-  /// cannot, because the inter-sweep spin dominates the sweep itself, so
-  /// whichever idler's sweep fires first wins regardless of tier order.
-  /// Fruitless remote passes stretch the cadence exponentially up to
-  /// `remote_backoff_max` sweeps; a successful remote steal snaps it back
-  /// to the base period. 0/1 = probe remote every sweep.
-  std::uint32_t remote_probe_period = 64;
-  std::uint32_t remote_backoff_max = 512;
-
-  /// Distance-sorted victim lists (usually WorkerPool::victim_table()).
-  /// Must outlive the queue and cover >= `workers` entries. nullptr -> the
-  /// flat randomized sweep of PR 2 (per-distance counters then rely on the
-  /// table and stay zero/same-node-only accordingly).
-  const util::VictimTable* victims = nullptr;
-
-  /// false -> keep the flat randomized sweep even when `victims` is set
-  /// (counters still tally per-distance via its matrix) — the ablation's
-  /// baseline arm.
+  /// Nothing reads this either; it goes with `victims`, for the same reason.
   bool topo_order = true;
-
-  /// A remote steal migrates up to this many tasks: one to run immediately,
-  /// the rest into the thief's own deque. Near-first sweeping alone starves
-  /// the far node — its workers find nothing same-node, pay a cross-node
-  /// steal for a *single* task, consume it, and are starved again, so every
-  /// steal they make is remote. Migrating a small batch seeds same-node
-  /// stealing on the thief's side of the interconnect, which is what
-  /// actually cuts the remote-steal share (the ablation measures this).
-  /// 1 = single-task remote steals; only applies to the topo-ordered sweep.
-  std::uint32_t remote_batch = 4;
 };
 
 class TaskQueue {
  public:
   explicit TaskQueue(unsigned workers, QueueKnobs knobs = {})
       : knobs_(knobs), n_(workers == 0 ? 1u : workers), w_(new PerWorker[n_]) {
-    for (unsigned i = 0; i < n_; ++i) {
-      w_[i].rng.reseed(0xc1de9e5ULL * (i + 1));
-      // Queues are short-lived (one per update burst); most steals are the
-      // initial fan-out races. Arm the remote cadence from sweep zero or
-      // those races run tier-blind and the bias never materializes.
-      w_[i].remote_skip = base_period();
-    }
+    for (unsigned i = 0; i < n_; ++i) w_[i].rng.reseed(0xc1de9e5ULL * (i + 1));
   }
 
   ~TaskQueue() { drain_and_free(); }
@@ -144,8 +108,7 @@ class TaskQueue {
     }
     util::SpinBackoff backoff;
     for (;;) {
-      // One full victim sweep per attempt (topology-ordered when a victim
-      // table is wired in, the PR-2 randomized ring otherwise).
+      // One full randomized victim sweep per attempt.
       if (csm::SearchTask* node = sweep_victims(wid, me)) {
         pending_.fetch_sub(1, std::memory_order_relaxed);
         return take(wid, node);
@@ -186,12 +149,8 @@ class TaskQueue {
     PerWorker& me = w_[wid];
     ws.steals_attempted += me.steals_attempted;
     ws.steals_succeeded += me.steals_succeeded;
-    ws.steals_local += me.steals_local;
-    ws.steals_same_node += me.steals_same_node;
-    ws.steals_remote += me.steals_remote;
     ws.parks += me.parks;
     me.steals_attempted = me.steals_succeeded = me.parks = 0;
-    me.steals_local = me.steals_same_node = me.steals_remote = 0;
   }
 
  private:
@@ -201,11 +160,6 @@ class TaskQueue {
     util::Rng rng{0};
     std::uint64_t steals_attempted = 0;
     std::uint64_t steals_succeeded = 0;
-    std::uint64_t steals_local = 0;      ///< by victim distance; sums to
-    std::uint64_t steals_same_node = 0;  ///< steals_succeeded (same-node on a
-    std::uint64_t steals_remote = 0;     ///< flat machine)
-    std::uint32_t remote_backoff = 0;  ///< current back-off length (sweeps)
-    std::uint32_t remote_skip = 0;     ///< sweeps left skipping remote tier
     std::uint64_t parks = 0;
     std::atomic<bool> parked{false};  ///< blocked on park_cv (or about to)
     std::mutex park_mutex;
@@ -223,104 +177,21 @@ class TaskQueue {
     }
   };
 
-  /// One full victim sweep for `wid`. With a victim table and topo_order,
-  /// probe near victims (SMT sibling, then same node — the table is
-  /// distance-sorted) before remote ones, rotating randomly *within* each
-  /// tier so concurrent thieves spread over victims; the remote tier is
-  /// skipped for an exponentially growing number of sweeps after fruitless
-  /// remote probes (reset by any success). Without a table (or with
-  /// topo_order off — the ablation baseline) this is the PR-2 randomized
-  /// ring; the table, when present, still prices each steal's distance.
+  /// One full victim sweep for `wid`, starting at a random victim so
+  /// concurrent thieves spread over the deques.
   [[nodiscard]] csm::SearchTask* sweep_victims(unsigned wid, PerWorker& me) {
-    const util::VictimTable* vt =
-        (knobs_.victims != nullptr && knobs_.victims->n == n_) ? knobs_.victims
-                                                               : nullptr;
-    if (vt == nullptr || !knobs_.topo_order || n_ < 2) {
-      const unsigned start = static_cast<unsigned>(me.rng.bounded(n_));
-      for (unsigned k = 0; k < n_; ++k) {
-        const unsigned v = (start + k) % n_;
-        if (v == wid) continue;
-        ++me.steals_attempted;
-        if (csm::SearchTask* node = w_[v].deque.steal_top())
-          return record_steal(me, vt, wid, v, node);
-      }
-      return nullptr;
-    }
-    const std::span<const util::Victim> row = vt->of(wid);
-    const unsigned near_len = vt->remote_begin[wid];
-    const unsigned remote_len = static_cast<unsigned>(row.size()) - near_len;
-    if (near_len > 0) {
-      const unsigned start = static_cast<unsigned>(me.rng.bounded(near_len));
-      for (unsigned k = 0; k < near_len; ++k) {
-        const util::Victim& vic = row[(start + k) % near_len];
-        ++me.steals_attempted;
-        if (csm::SearchTask* node = w_[vic.wid].deque.steal_top())
-          return record_steal(me, vt, wid, vic.wid, node);
-      }
-    }
-    if (remote_len > 0) {
-      // Starvation valve: a queued backlog our near tier evidently isn't
-      // draining means the work is genuinely elsewhere — migrate now, skip
-      // or no skip. Only the scarce-work tails (a pending task or two that
-      // near idlers are racing for) stay cadenced; that is where cadence
-      // converts cross-node steals into same-node ones instead of delaying
-      // anybody.
-      const bool surplus =
-          pending_.load(std::memory_order_relaxed) > std::int64_t{2};
-      if (me.remote_skip > 0 && !surplus) {
-        --me.remote_skip;
-      } else {
-        const unsigned start = static_cast<unsigned>(me.rng.bounded(remote_len));
-        for (unsigned k = 0; k < remote_len; ++k) {
-          const util::Victim& vic = row[near_len + (start + k) % remote_len];
-          ++me.steals_attempted;
-          if (csm::SearchTask* node = w_[vic.wid].deque.steal_top()) {
-            // Batch the migration (see QueueKnobs::remote_batch): extras go
-            // to our own deque — they stay pending and in flight, only their
-            // home changes, so no counter or wakeup bookkeeping moves.
-            for (std::uint32_t extra = 1; extra < knobs_.remote_batch; ++extra) {
-              csm::SearchTask* more = w_[vic.wid].deque.steal_top();
-              if (more == nullptr) break;
-              me.deque.push_bottom(more);
-            }
-            me.remote_backoff = 0;
-            me.remote_skip = base_period();
-            return record_steal(me, vt, wid, vic.wid, node);
-          }
-        }
-        me.remote_backoff =
-            std::min(me.remote_backoff == 0 ? base_period() : me.remote_backoff * 2u,
-                     knobs_.remote_backoff_max);
-        me.remote_skip = me.remote_backoff;
+    const unsigned start = static_cast<unsigned>(me.rng.bounded(n_));
+    for (unsigned k = 0; k < n_; ++k) {
+      const unsigned v = (start + k) % n_;
+      if (v == wid) continue;
+      ++me.steals_attempted;
+      if (csm::SearchTask* node = w_[v].deque.steal_top()) {
+        ++me.steals_succeeded;
+        PARACOSM_TRACE_INSTANT(obs::EventKind::kSteal, v, wid);
+        return node;
       }
     }
     return nullptr;
-  }
-
-  /// Base remote cadence: sweeps between remote-tier passes (>= 0).
-  [[nodiscard]] std::uint32_t base_period() const noexcept {
-    return knobs_.remote_probe_period > 0 ? knobs_.remote_probe_period - 1 : 0;
-  }
-
-  /// Successful steal: count it and price its distance. Remote cadence
-  /// state is managed by the sweep itself (a near success deliberately does
-  /// NOT re-enable eager remote probing — a worker that can feed itself
-  /// same-node has no reason to hammer the interconnect).
-  csm::SearchTask* record_steal(PerWorker& me, const util::VictimTable* vt,
-                                unsigned wid, unsigned victim,
-                                csm::SearchTask* node) {
-    ++me.steals_succeeded;
-    // No topology info -> same-node by definition (a flat machine).
-    const auto d = vt != nullptr ? vt->distance(wid, victim)
-                                 : util::StealDistance::kSameNode;
-    switch (d) {
-      case util::StealDistance::kLocal: ++me.steals_local; break;
-      case util::StealDistance::kSameNode: ++me.steals_same_node; break;
-      case util::StealDistance::kRemote: ++me.steals_remote; break;
-    }
-    PARACOSM_TRACE_INSTANT(obs::EventKind::kSteal, victim, wid,
-                           static_cast<std::uint64_t>(d));
-    return node;
   }
 
   /// Move the task out of the node and recycle the node on the taker's own
@@ -345,28 +216,12 @@ class TaskQueue {
     parked_.fetch_sub(1, std::memory_order_relaxed);
   }
 
-  /// Wake one parked worker, nearest the pusher first. The shared condvar
-  /// this replaces woke an *arbitrary* parked worker — and at burst tails,
-  /// when the woken thief is the only one hunting, the steal-distance mix
-  /// degenerated to the worker-population mix no matter how the sweep was
-  /// tiered. Scanning the pusher's distance-sorted victim row hands the
-  /// fresh split to an SMT sibling or same-node worker whenever one is
-  /// parked; without a table the randomized ring keeps the flat behavior.
-  /// Dekker handshake: push publishes pending_ (seq_cst) then reads the
-  /// parked flags here; park() sets its flag then reads pending_ in the
-  /// wait predicate — one side always observes the other, and the scan
-  /// covers every other worker, so a needed wake is never skipped.
+  /// Wake one parked worker, scanning from a random start. Dekker
+  /// handshake: push publishes pending_ (seq_cst) then reads the parked
+  /// flags here; park() sets its flag then reads pending_ in the wait
+  /// predicate — one side always observes the other, and the scan covers
+  /// every other worker, so a needed wake is never skipped.
   void wake_one(unsigned wid) {
-    const util::VictimTable* vt =
-        (knobs_.victims != nullptr && knobs_.victims->n == n_ &&
-         knobs_.topo_order && n_ > 1)
-            ? knobs_.victims
-            : nullptr;
-    if (vt != nullptr) {
-      for (const util::Victim& vic : vt->of(wid))
-        if (try_wake(w_[vic.wid])) return;
-      return;
-    }
     const unsigned start = static_cast<unsigned>(w_[wid].rng.bounded(n_));
     for (unsigned k = 0; k < n_; ++k) {
       const unsigned v = (start + k) % n_;

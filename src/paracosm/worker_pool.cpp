@@ -20,21 +20,8 @@ namespace {
 }  // namespace
 
 WorkerPool::WorkerPool(unsigned num_threads, const PoolOptions& options)
-    : spin_iters_(options.spin_iters),
-      size_(std::max(1u, num_threads)),
-      topo_(options.topology != nullptr ? *options.topology
-                                        : util::HwTopology::cached()),
-      pin_(options.pin) {
+    : spin_iters_(options.spin_iters), size_(std::max(1u, num_threads)) {
   const unsigned n = size_;
-  assignment_ = util::assign_workers(topo_, n);
-  victims_ = util::make_victim_table(assignment_);
-  node_map_.resize(n);
-  for (unsigned i = 0; i < n; ++i)
-    node_map_[i] = static_cast<std::uint8_t>(assignment_[i].node);
-  // Pin only when the CPU ids are real; emulated/flat trees are policy-only.
-  // Worker 0 is the caller, so a one-worker pool has nothing to pin.
-  pinned_.store(pin_ && topo_.source == util::TopoSource::kSysfs && n > 1,
-                std::memory_order_relaxed);
   slots_.reset(new Slot[n]);
   helpers_.reserve(n - 1);
   for (unsigned id = 1; id < n; ++id)
@@ -105,10 +92,6 @@ std::uint64_t WorkerPool::total_parks() const noexcept {
 
 void WorkerPool::worker_loop(unsigned id) {
   PARACOSM_TRACE_THREAD_NAME("worker " + std::to_string(id));
-  if (pin_ && topo_.source == util::TopoSource::kSysfs) {
-    if (!util::pin_current_thread(assignment_[id].cpu))
-      pinned_.store(false, std::memory_order_relaxed);
-  }
   Slot& slot = slots_[id];
   std::uint64_t seen = 0;
   for (;;) {

@@ -29,32 +29,24 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <thread>
 #include <vector>
 
-#include "util/hw_topo.hpp"
-
 namespace paracosm::engine {
 
-/// Topology-aware pool construction knobs (DESIGN.md §10).
+/// Empty tag behind QueueKnobs::victims and WorkerPool::victim_table().
+struct UnusedVictimTable {};
+
+/// Pool construction knobs.
 struct PoolOptions {
   /// Epoch-poll iterations before a worker parks on the futex. The default
   /// favors low wake latency without monopolizing an oversubscribed core
   /// (the spin loop yields periodically).
   std::uint32_t spin_iters = 1024;
 
-  /// Pin each helper thread to its assigned CPU. Honored only when the
-  /// topology's CPU ids are real (source == kSysfs); emulated and flat
-  /// topologies are policy-only and never pinned. The caller (worker 0) is
-  /// never pinned: the pool does not own that thread.
+  /// Nothing reads this. It stays because the wall-clock benchmark's replay
+  /// sets it, and goes with the next change to that benchmark.
   bool pin = false;
-
-  /// Topology to place workers on. nullptr -> HwTopology::cached(). Tests
-  /// and the ablation pass HwTopology::emulated(...) here; the pointee must
-  /// outlive the pool only through the constructor (the pool copies what it
-  /// needs).
-  const util::HwTopology* topology = nullptr;
 };
 
 class WorkerPool {
@@ -104,30 +96,12 @@ class WorkerPool {
   /// Cumulative spin->park transitions across all helpers since startup.
   [[nodiscard]] std::uint64_t total_parks() const noexcept;
 
-  // --- topology views (immutable after construction) -----------------------
-
-  /// Topology the pool was placed on (copy of the construction-time tree).
-  [[nodiscard]] const util::HwTopology& topology() const noexcept {
-    return topo_;
-  }
-  /// Per-worker CPU assignment (assign_workers over topology()). Worker 0's
-  /// entry is advisory: the caller is never pinned (DESIGN.md §10).
-  [[nodiscard]] std::span<const util::TopoCpu> assignment() const noexcept {
-    return assignment_;
-  }
-  /// Distance-sorted victim lists over assignment(); executors hand this to
-  /// their TaskQueue. Lives as long as the pool.
-  [[nodiscard]] const util::VictimTable& victim_table() const noexcept {
-    return victims_;
-  }
-  /// Worker id → NUMA node of its assigned CPU (ShardedCursor's input).
-  [[nodiscard]] std::span<const std::uint8_t> node_map() const noexcept {
-    return node_map_;
-  }
-  /// Helpers actually pinned (pin requested, sysfs topology, all masks
-  /// accepted by the kernel). Worker 0, the caller, is never pinned.
-  [[nodiscard]] bool pinned() const noexcept {
-    return pinned_.load(std::memory_order_relaxed);
+  /// Nothing reads this. It stays because the wall-clock benchmark's replay
+  /// passes it to QueueKnobs::victims, and goes with the next change to that
+  /// benchmark.
+  [[nodiscard]] const UnusedVictimTable& victim_table() const noexcept {
+    static constexpr UnusedVictimTable kNone{};
+    return kNone;
   }
 
  private:
@@ -142,12 +116,6 @@ class WorkerPool {
 
   const std::uint32_t spin_iters_;
   const unsigned size_;
-  util::HwTopology topo_;
-  std::vector<util::TopoCpu> assignment_;
-  util::VictimTable victims_;
-  std::vector<std::uint8_t> node_map_;
-  bool pin_ = false;
-  std::atomic<bool> pinned_{false};
   std::unique_ptr<Slot[]> slots_;
   const std::function<void(unsigned)>* job_ = nullptr;
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -158,12 +160,38 @@ std::vector<Divergence> run_service_lane(const FuzzCase& c,
   return out;
 }
 
+/// A fresh directory under `parent` (mkdtemp), removed with its contents
+/// when the guard goes out of scope; path() is empty if creation failed.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& parent) {
+    std::string tmpl = parent + "/crash-XXXXXX";
+    if (::mkdtemp(tmpl.data()) != nullptr) path_ = std::move(tmpl);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
+
 std::vector<Divergence> check_crash_recovery(const FuzzCase& c,
                                              const ServiceCheckOptions& opts) {
   std::vector<Divergence> out;
   if (opts.dir.empty() || c.stream.empty()) return out;
   const auto alg = csm::make_algorithm(opts.algorithm);
   if (!alg) return out;
+  const ScratchDir scratch(opts.dir);
+  if (scratch.path().empty()) {
+    out.push_back(make_div(c, opts, "cannot create a scratch directory in " + opts.dir));
+    return out;
+  }
   const graph::QueryGraph& q = c.queries.front();
   const bool el = alg->uses_edge_labels();
 
@@ -172,9 +200,9 @@ std::vector<Divergence> check_crash_recovery(const FuzzCase& c,
     const std::uint32_t k =
         static_cast<std::uint32_t>(rng.bounded(c.stream.size()));
     const std::string wal_path =
-        opts.dir + "/crash_" + std::to_string(point) + ".wal";
+        scratch.path() + "/crash_" + std::to_string(point) + ".wal";
     const std::string snap_path =
-        opts.dir + "/crash_" + std::to_string(point) + ".snap";
+        scratch.path() + "/crash_" + std::to_string(point) + ".snap";
 
     // Build the crashed-process disk image: records 0..k durable, but the
     // engine only applied 0..k-1 — the append-before-apply redo window.

@@ -57,8 +57,9 @@ struct ServiceCheckOptions {
   std::size_t queue_capacity = 4;   ///< overload lanes: tiny ring
   std::uint32_t slow_consumer_us = 200;  ///< overload lanes: per-item delay
 
-  /// Scratch directory for WAL/snapshot files (kCrashRecovery); empty skips
-  /// the on-disk half of that lane.
+  /// Parent of the scratch directory for WAL/snapshot files (kCrashRecovery).
+  /// Each case writes into a fresh subdirectory and removes it when done;
+  /// empty skips the on-disk half of that lane.
   std::string dir;
 };
 

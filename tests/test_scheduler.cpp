@@ -2,7 +2,7 @@
 // observably identical to sequential enumeration. For every update we
 // collect the FULL match set (not just the count) through the match
 // callback and require the delivered streams to be byte-identical across
-//   sequential  ×  dynamic (flat / topology-ordered victims)  ×  static
+//   sequential  ×  dynamic (work stealing)  ×  static
 // at 1/2/4/8 threads — exercising the deterministic per-worker-buffer merge
 // (match_buffer.hpp) and the Chase–Lev termination protocol under real
 // search trees. Degenerate shapes (empty tree, single seed) are covered
@@ -77,29 +77,15 @@ TEST_P(SchedulerTortureTest, AllExecutorsDeliverIdenticalMatchSets) {
   const QueueKnobs knobs{.spin_iters = 8};
   struct Rig {
     std::unique_ptr<WorkerPool> pool;
-    std::unique_ptr<InnerExecutor> dynamic;       ///< flat victim sweep
-    std::unique_ptr<InnerExecutor> dynamic_topo;  ///< topology-ordered sweep
-    std::unique_ptr<InnerExecutor> fixed;         ///< static partition
+    std::unique_ptr<InnerExecutor> dynamic;  ///< work-stealing split rule
+    std::unique_ptr<InnerExecutor> fixed;    ///< static partition
   };
-  // Policy-only emulated 2-node topology (never pins): the topology-aware
-  // victim order must deliver the exact same byte-identical match stream as
-  // the flat sweep — distance ordering is a performance policy, not a
-  // semantic one (ISSUE 7 acceptance criterion).
-  const util::HwTopology topo = util::HwTopology::emulated(2, 4);
   std::vector<Rig> rigs;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     Rig rig;
-    PoolOptions popts;
-    popts.spin_iters = 8;
-    popts.topology = &topo;
-    rig.pool = std::make_unique<WorkerPool>(threads, popts);
+    rig.pool = std::make_unique<WorkerPool>(threads, /*spin_iters=*/8);
     rig.dynamic = std::make_unique<InnerExecutor>(*rig.pool, tc.split_depth,
                                                   /*dynamic=*/true, knobs);
-    QueueKnobs topo_knobs = knobs;
-    topo_knobs.victims = &rig.pool->victim_table();
-    topo_knobs.topo_order = true;
-    rig.dynamic_topo = std::make_unique<InnerExecutor>(
-        *rig.pool, tc.split_depth, /*dynamic=*/true, topo_knobs);
     rig.fixed = std::make_unique<InnerExecutor>(*rig.pool, tc.split_depth,
                                                 /*dynamic=*/false, knobs);
     rigs.push_back(std::move(rig));
@@ -119,18 +105,6 @@ TEST_P(SchedulerTortureTest, AllExecutorsDeliverIdenticalMatchSets) {
         const InnerRunResult r = rig.dynamic->run(*alg, seeds, {}, &got.fn);
         EXPECT_EQ(got.matches, expected) << "dynamic t" << threads;
         EXPECT_EQ(r.matches, expected.size()) << "dynamic t" << threads;
-      }
-      {
-        Collector got;
-        const InnerRunResult r = rig.dynamic_topo->run(*alg, seeds, {}, &got.fn);
-        EXPECT_EQ(got.matches, expected) << "dynamic-topo t" << threads;
-        EXPECT_EQ(r.matches, expected.size()) << "dynamic-topo t" << threads;
-        // Per-distance counters partition successful steals.
-        const ParallelStats& st = r.stats;
-        EXPECT_EQ(st.total_steals_local() + st.total_steals_same_node() +
-                      st.total_steals_remote(),
-                  st.total_steals_succeeded())
-            << "dynamic-topo t" << threads;
       }
       {
         Collector got;

@@ -1,4 +1,5 @@
-// Unit tests for the util substrate: RNG, CLI, CSV, tables, timers, locks.
+// Unit tests for the util substrate: RNG, CLI, CSV, tables, timers, locks,
+// the affinity-mask CPU count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,6 +8,12 @@
 #include <set>
 #include <thread>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include "paracosm/config.hpp"
+#include "util/affinity.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -223,6 +230,23 @@ TEST(StripedLocks, LockPairIsDeadlockFreeOnCrossingPairs) {
   a.join();
   b.join();
   EXPECT_EQ(done.load(), 2);
+}
+
+// The default worker count is the CPUs this process may run on, read from
+// its sched_getaffinity mask (not hardware_concurrency, which ignores
+// taskset and cgroup cpusets).
+TEST(Affinity, CpuCountMatchesSchedMaskAndDefaultThreads) {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  const unsigned mask_count = static_cast<unsigned>(CPU_COUNT(&set));
+  EXPECT_EQ(affinity_cpu_count(), mask_count);
+  EXPECT_EQ(affinity_cpus().size(), mask_count);
+  EXPECT_EQ(engine::Config{}.effective_threads(), mask_count);
+#else
+  GTEST_SKIP() << "sched_getaffinity is Linux-only";
+#endif
 }
 
 }  // namespace

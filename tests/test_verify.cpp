@@ -4,10 +4,14 @@
 // the fuzzer and shrunk to a handful of updates.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "verify/fuzzer.hpp"
 #include "verify/repro.hpp"
+#include "verify/service_check.hpp"
 #include "verify/shrinker.hpp"
 
 namespace paracosm::verify {
@@ -191,6 +195,28 @@ TEST(FaultInjection, InjectedClassifierBugIsCaughtAndShrunk) {
   // And with the real (sound) classifier the same cell is clean — the
   // divergence is attributable to the injected fault, nothing else.
   EXPECT_TRUE(check_repro(back).empty());
+}
+
+// --- service lanes ------------------------------------------------------------
+
+// The crash-recovery lane writes its WAL and snapshot files into a scratch
+// directory of its own under ServiceCheckOptions::dir and removes it when the
+// case ends, so the directory it was given is left as it was found.
+TEST(ServiceCheck, CrashRecoveryLeavesItsDirectoryEmpty) {
+  std::string tmpl = ::testing::TempDir() + "/crash_lane_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  const std::filesystem::path dir = tmpl;
+
+  ServiceCheckOptions opts;
+  opts.fault = ServiceFault::kCrashRecovery;
+  opts.crash_points = 4;
+  opts.threads = 2;
+  opts.dir = dir.string();
+  for (const Divergence& d : check_service_case(generate_case(135), opts))
+    ADD_FAILURE() << d.to_string();
+
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

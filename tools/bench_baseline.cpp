@@ -31,8 +31,6 @@
 #include "paracosm/paracosm.hpp"
 #include "service/service.hpp"
 #include "util/cli.hpp"
-#include "util/hw_topo.hpp"
-#include "util/numa_alloc.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -175,10 +173,6 @@ std::vector<MacroResult> run_macro(double scale, std::uint32_t queries,
 struct SchedulerResult {
   std::uint64_t steals_attempted = 0;
   std::uint64_t steals_succeeded = 0;
-  std::uint64_t steals_local = 0;      ///< SMT-sibling victims
-  std::uint64_t steals_same_node = 0;  ///< same NUMA node, different core
-  std::uint64_t steals_remote = 0;     ///< cross-node
-  double remote_steal_share = 0;
   std::uint64_t offloads = 0;  ///< tasks re-split onto the queue
   std::uint64_t parks = 0;
   std::uint64_t shard_updates = 0;  ///< safe updates applied via batch shards
@@ -205,10 +199,6 @@ SchedulerResult run_scheduler(double scale, std::int64_t stream_cap,
   const engine::StreamResult r = pc.process_stream(wl.stream);
   out.steals_attempted = r.stats.total_steals_attempted();
   out.steals_succeeded = r.stats.total_steals_succeeded();
-  out.steals_local = r.stats.total_steals_local();
-  out.steals_same_node = r.stats.total_steals_same_node();
-  out.steals_remote = r.stats.total_steals_remote();
-  out.remote_steal_share = r.stats.remote_steal_share();
   out.offloads = r.stats.total_offloads();
   out.parks = r.stats.total_parks();
   out.shard_updates = r.stats.total_shard_updates();
@@ -463,19 +453,6 @@ void write_json(const std::string& path, const std::vector<MicroResult>& micro,
                "\"seed\": %llu},\n",
                scale, queries, static_cast<long long>(stream_cap),
                static_cast<unsigned long long>(seed));
-  // Machine shape the numbers were taken on: without this, cross-host diffs
-  // of the scheduler counters are apples-to-oranges.
-  const util::HwTopology& topo = util::HwTopology::cached();
-  std::fprintf(f,
-               "  \"topology\": {\"source\": \"%s\", \"cpus\": %u, "
-               "\"cores\": %u, \"nodes\": %u, \"packages\": %u, "
-               "\"smt\": %s, \"affinity_cpus\": %u, \"numa_compiled\": %s, "
-               "\"numa_available\": %s},\n",
-               util::topo_source_name(topo.source), topo.num_cpus(),
-               topo.num_cores, topo.num_nodes, topo.num_packages,
-               topo.smt ? "true" : "false", util::affinity_cpu_count(),
-               util::numa::compiled() ? "true" : "false",
-               util::numa::available() ? "true" : "false");
   std::fprintf(f, "  \"micro_ns_per_op\": {\n");
   for (std::size_t i = 0; i < micro.size(); ++i)
     std::fprintf(f, "    \"%s\": %.2f%s\n", micro[i].name.c_str(), micro[i].ns_per_op,
@@ -497,18 +474,12 @@ void write_json(const std::string& path, const std::vector<MicroResult>& micro,
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"scheduler_8threads\": {\"steals_attempted\": %llu, "
-               "\"steals_succeeded\": %llu, \"steals_local\": %llu, "
-               "\"steals_same_node\": %llu, \"steals_remote\": %llu, "
-               "\"remote_steal_share\": %.4f, \"tasks_resplit\": %llu, "
+               "\"steals_succeeded\": %llu, \"tasks_resplit\": %llu, "
                "\"parks\": %llu, \"shard_updates\": %llu, "
                "\"dispatch_ms\": %.3f, \"sim_makespan_ms\": %.3f, "
                "\"delta_matches\": %llu},\n",
                static_cast<unsigned long long>(sched.steals_attempted),
                static_cast<unsigned long long>(sched.steals_succeeded),
-               static_cast<unsigned long long>(sched.steals_local),
-               static_cast<unsigned long long>(sched.steals_same_node),
-               static_cast<unsigned long long>(sched.steals_remote),
-               sched.remote_steal_share,
                static_cast<unsigned long long>(sched.offloads),
                static_cast<unsigned long long>(sched.parks),
                static_cast<unsigned long long>(sched.shard_updates),
@@ -573,12 +544,6 @@ void write_metrics(const std::string& path, const std::vector<MicroResult>& micr
                    static_cast<std::int64_t>(sched.steals_succeeded));
   snap.add_counter("scheduler.steals_attempted",
                    static_cast<std::int64_t>(sched.steals_attempted));
-  snap.add_counter("scheduler.steals_local",
-                   static_cast<std::int64_t>(sched.steals_local));
-  snap.add_counter("scheduler.steals_same_node",
-                   static_cast<std::int64_t>(sched.steals_same_node));
-  snap.add_counter("scheduler.steals_remote",
-                   static_cast<std::int64_t>(sched.steals_remote));
   snap.add_counter("scheduler.tasks_resplit",
                    static_cast<std::int64_t>(sched.offloads));
   snap.add_counter("scheduler.parks", static_cast<std::int64_t>(sched.parks));

@@ -35,8 +35,6 @@
 #include "service/service.hpp"
 #include "service/wal.hpp"
 #include "util/cli.hpp"
-#include "util/hw_topo.hpp"
-#include "util/numa_alloc.hpp"
 #include "util/rng.hpp"
 #include "verify/oracle_mirror.hpp"
 
@@ -116,21 +114,6 @@ struct MultiQueryInfo {
   std::string algorithm;
 };
 
-/// Machine-shape stanza shared by both report writers: the host topology the
-/// latency numbers were taken on, so cross-host report diffs carry context.
-void write_topology_json(std::ostream& out) {
-  const util::HwTopology& topo = util::HwTopology::cached();
-  out << "  \"topology\": {\"source\": \"" << util::topo_source_name(topo.source)
-      << "\", \"cpus\": " << topo.num_cpus() << ", \"cores\": " << topo.num_cores
-      << ", \"nodes\": " << topo.num_nodes
-      << ", \"packages\": " << topo.num_packages
-      << ", \"smt\": " << (topo.smt ? "true" : "false")
-      << ", \"affinity_cpus\": " << util::affinity_cpu_count()
-      << ", \"numa_compiled\": " << (util::numa::compiled() ? "true" : "false")
-      << ", \"numa_available\": " << (util::numa::available() ? "true" : "false")
-      << "},\n";
-}
-
 void write_multi_json_report(const std::string& path,
                              const service::MultiServiceReport& r,
                              const std::vector<MultiQueryInfo>& queries,
@@ -147,7 +130,6 @@ void write_multi_json_report(const std::string& path,
   out << "{\n"
       << "  \"mode\": \"multi\",\n"
       << "  \"threads\": " << threads << ",\n";
-  write_topology_json(out);
   out << "  \"policy\": \"" << policy << "\",\n"
       << "  \"wall_ns\": " << r.wall_ns << ",\n"
       << "  \"processed\": " << s.processed << ",\n"
@@ -230,7 +212,6 @@ int run_multi(const util::Cli& cli, graph::DataGraph& g,
 
   engine::Config config;
   config.threads = static_cast<unsigned>(cli.get_int("threads"));
-  config.pin_threads = cli.get_bool("pin");
   config.inter_parallelism = false;  // the service processes one update at a time
   if (const auto kind = engine::parse_batch_backend(cli.get("backend"))) {
     config.batch_backend = *kind;
@@ -373,7 +354,6 @@ void write_json_report(const std::string& path, const service::ServiceReport& r,
   out << "{\n"
       << "  \"algorithm\": \"" << algorithm << "\",\n"
       << "  \"threads\": " << threads << ",\n";
-  write_topology_json(out);
   out << "  \"policy\": \"" << policy << "\",\n"
       << "  \"positive\": " << r.positive << ",\n"
       << "  \"negative\": " << r.negative << ",\n"
@@ -418,7 +398,6 @@ int main(int argc, char** argv) {
       .option("algorithm", "graphflow", "graphflow|turboflux|symbi|calig|newsp")
       .option("threads", "8", "worker threads for the search phase (0 = one per "
               "CPU in the process affinity mask)")
-      .flag("pin", "pin workers to CPUs (topology-aware; no-op without sysfs)")
       .option("policy", "block", "overload policy: block|shed|degrade")
       .option("backend", "cpu",
               "batch classification backend (cpu|wide|auto); only exercised "
@@ -612,7 +591,6 @@ int main(int argc, char** argv) {
 
   engine::Config config;
   config.threads = static_cast<unsigned>(cli.get_int("threads"));
-  config.pin_threads = cli.get_bool("pin");
   config.inter_parallelism = false;  // the service processes one update at a time
   if (const auto kind = engine::parse_batch_backend(cli.get("backend"))) {
     config.batch_backend = *kind;
